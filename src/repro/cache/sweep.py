@@ -25,8 +25,8 @@ its optimality is a theorem, not a hope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .page import DEFAULT_HIT_LATENCY_S, CacheConfig
 from .replay import belady_replay, replay_trace
@@ -59,17 +59,7 @@ class CachePoint:
     total_seconds: float  # end-to-end simulated latency with the cache
 
     def to_dict(self) -> Dict:
-        return {
-            "policy": self.policy,
-            "capacity_mb": self.capacity_mb,
-            "capacity_pages": self.capacity_pages,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "replay_hit_rate": self.replay_hit_rate,
-            "total_seconds": self.total_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CachePoint":
@@ -117,18 +107,7 @@ class CacheSweep:
         return self.baseline_seconds / point.total_seconds
 
     def to_dict(self) -> Dict:
-        return {
-            "platform": self.platform,
-            "workload": self.workload,
-            "capacities_mb": list(self.capacities_mb),
-            "policies": list(self.policies),
-            "hit_latency_s": self.hit_latency_s,
-            "baseline_seconds": self.baseline_seconds,
-            "trace_accesses": self.trace_accesses,
-            "unique_pages": self.unique_pages,
-            "belady_hit_rates": list(self.belady_hit_rates),
-            "points": [p.to_dict() for p in self.points],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CacheSweep":
@@ -175,15 +154,11 @@ def cache_ablation_key(
     seed: int,
 ) -> str:
     """Content-addressed cache key for one whole ablation document."""
-    from .. import __version__
-    from ..cacheutil import stable_hash
-    from ..orchestrate.serialize import CACHE_ABLATION_SCHEMA_VERSION
+    from ..orchestrate.serialize import artifact_key
 
-    return stable_hash(
+    return artifact_key(
+        "cache_ablation",
         {
-            "kind": "cache_ablation",
-            "schema": CACHE_ABLATION_SCHEMA_VERSION,
-            "code_version": __version__,
             "platform": platform,
             "workload": spec,
             "ssd_config": config,
@@ -198,7 +173,7 @@ def cache_ablation_key(
                 "scaled_nodes": scaled_nodes,
                 "seed": seed,
             },
-        }
+        },
     )
 
 
@@ -231,23 +206,8 @@ def sweep_cache(
     the whole-sweep document, else every needed cell — and raises
     ``KeyError`` rather than simulate.
     """
-    from ..orchestrate.grid import (
-        GridCell,
-        _prepared_for,
-        _resolve_image_cache,
-        adopt_prepared,
-        outcome_from_cache,
-        run_grid,
-    )
-    from ..orchestrate.serialize import (
-        cache_sweep_from_payload,
-        cache_sweep_to_payload,
-    )
-    from ..platforms.features import PlatformFeatures
-    from ..platforms.registry import platform_by_name
-    from ..platforms.runner import DEFAULT_SCALED_NODES, PreparedWorkload
-    from ..ssd.config import ull_ssd
-    from ..workloads.registry import workload_by_name
+    from ..orchestrate.cache import cached
+    from ..orchestrate.grid import GridCell, prepared_image, resolve_inputs, run_or_load
 
     capacities_mb = [float(v) for v in capacities_mb]
     policies = list(policies)
@@ -255,30 +215,11 @@ def sweep_cache(
         raise ValueError("capacities_mb must not be empty")
     if not policies:
         raise ValueError("policies must not be empty")
-    if require_cached and cache is None:
-        raise ValueError("require_cached needs a result cache")
 
-    features = (
-        platform
-        if isinstance(platform, PlatformFeatures)
-        else platform_by_name(platform)
+    features, config, spec, scaled_nodes, prepared = resolve_inputs(
+        platform, workload, ssd_config, scaled_nodes
     )
-    config = ssd_config or ull_ssd()
     page_size = config.flash.page_size
-
-    prepared: Optional[PreparedWorkload] = None
-    if isinstance(workload, PreparedWorkload):
-        prepared = workload
-        spec = prepared.spec
-        if scaled_nodes is None:
-            scaled_nodes = spec.num_nodes
-    else:
-        spec = workload_by_name(workload) if isinstance(workload, str) else workload
-        if scaled_nodes is None:
-            scaled_nodes = DEFAULT_SCALED_NODES
-        if spec.num_nodes > scaled_nodes:
-            spec = spec.scaled(scaled_nodes)
-
     key = cache_ablation_key(
         features,
         spec,
@@ -293,17 +234,6 @@ def sweep_cache(
         scaled_nodes=scaled_nodes,
         seed=seed,
     )
-    if cache is not None:
-        document = cache.get(key)
-        if document is not None:
-            return CacheSweepOutcome(
-                sweep=cache_sweep_from_payload(document["payload"]),
-                key=key,
-                from_cache=True,
-            )
-
-    if prepared is not None:
-        adopt_prepared(prepared)
 
     def cell(page_cache: Optional[CacheConfig], sample_trace: bool) -> GridCell:
         return GridCell(
@@ -330,96 +260,75 @@ def sweep_cache(
         )
         for capacity, policy in grid
     ]
-    if require_cached:
-        outcome = outcome_from_cache(cells, cache)
-    else:
-        outcome = run_grid(
+
+    def compute() -> Tuple[CacheSweep, Dict]:
+        outcome = run_or_load(
             cells,
+            cache,
+            require_cached,
             jobs=jobs,
-            cache=cache,
             image_cache=image_cache,
             chunk=chunk,
             executor=executor,
         )
-    baseline, measured = outcome.results[0], outcome.results[1:]
+        baseline, measured = outcome.results[0], outcome.results[1:]
 
-    # Offline replay: one canonical trace prices every point + Belady.
-    icache = _resolve_image_cache(image_cache, cache)
-    if prepared is None:
-        prepared = _prepared_for(
-            spec, page_size, str(icache.root) if icache is not None else None
-        )
-    pages = page_trace_from_result(
-        baseline, prepared.image, features, num_hops
-    )
-    capacity_pages = {
-        c: CacheConfig(capacity_mb=c).capacity_pages(page_size)
-        for c in capacities_mb
-    }
-    belady_rates = [
-        belady_replay(pages, capacity_pages[c]).hit_rate for c in capacities_mb
-    ]
-
-    points: List[CachePoint] = []
-    for (capacity, policy), result in zip(grid, measured):
-        block = result.cache or {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "hit_rate": 0.0,
+        # Offline replay: one canonical trace prices every point + Belady.
+        image = prepared or prepared_image(spec, config, image_cache, cache)
+        pages = page_trace_from_result(baseline, image.image, features, num_hops)
+        capacity_pages = {
+            c: CacheConfig(capacity_mb=c).capacity_pages(page_size)
+            for c in capacities_mb
         }
-        replayed = replay_trace(pages, policy, capacity_pages[capacity])
-        points.append(
-            CachePoint(
-                policy=policy,
-                capacity_mb=capacity,
-                capacity_pages=capacity_pages[capacity],
-                hits=int(block["hits"]),
-                misses=int(block["misses"]),
-                evictions=int(block["evictions"]),
-                hit_rate=float(block["hit_rate"]),
-                replay_hit_rate=replayed.hit_rate,
-                total_seconds=result.total_seconds,
+        belady_rates = [
+            belady_replay(pages, capacity_pages[c]).hit_rate for c in capacities_mb
+        ]
+
+        points: List[CachePoint] = []
+        for (capacity, policy), result in zip(grid, measured):
+            block = result.cache or {
+                "hits": 0,
+                "misses": 0,
+                "evictions": 0,
+                "hit_rate": 0.0,
+            }
+            replayed = replay_trace(pages, policy, capacity_pages[capacity])
+            points.append(
+                CachePoint(
+                    policy=policy,
+                    capacity_mb=capacity,
+                    capacity_pages=capacity_pages[capacity],
+                    hits=int(block["hits"]),
+                    misses=int(block["misses"]),
+                    evictions=int(block["evictions"]),
+                    hit_rate=float(block["hit_rate"]),
+                    replay_hit_rate=replayed.hit_rate,
+                    total_seconds=result.total_seconds,
+                )
             )
-        )
 
-    sweep = CacheSweep(
-        platform=features.name,
-        workload=spec.name,
-        capacities_mb=capacities_mb,
-        policies=policies,
-        hit_latency_s=hit_latency_s,
-        baseline_seconds=baseline.total_seconds,
-        trace_accesses=len(pages),
-        unique_pages=len(set(pages)),
-        belady_hit_rates=belady_rates,
-        points=points,
-    )
-    # The same payload round trip every cached document takes, so fresh
-    # and warm renders are interchangeable bit for bit.
-    payload_doc = cache_sweep_to_payload(sweep)
-    if cache is not None:
-        from .. import __version__
-
-        cache.put(
-            key,
-            {
-                "payload": payload_doc,
-                "meta": {
-                    "kind": "cache_ablation",
-                    "platform": features.name,
-                    "workload": spec.name,
-                    "seed": seed,
-                    "code_version": __version__,
-                },
-            },
+        sweep = CacheSweep(
+            platform=features.name,
+            workload=spec.name,
+            capacities_mb=capacities_mb,
+            policies=policies,
+            hit_latency_s=hit_latency_s,
+            baseline_seconds=baseline.total_seconds,
+            trace_accesses=len(pages),
+            unique_pages=len(set(pages)),
+            belady_hit_rates=belady_rates,
+            points=points,
         )
-    return CacheSweepOutcome(
-        sweep=cache_sweep_from_payload(payload_doc),
-        key=key,
-        from_cache=False,
-        cells_executed=outcome.executed,
-        cell_cache_hits=outcome.cache_hits,
-        images_built=outcome.images_built,
-        image_hits=outcome.image_hits,
+        counts = dict(
+            cells_executed=outcome.executed,
+            cell_cache_hits=outcome.cache_hits,
+            images_built=outcome.images_built,
+            image_hits=outcome.image_hits,
+        )
+        return sweep, counts
+
+    meta = dict(platform=features.name, workload=spec.name, seed=seed)
+    sweep, counts = cached(
+        cache, "cache_ablation", key, compute, meta, require_cached=require_cached
     )
+    return CacheSweepOutcome(sweep, key, from_cache=counts is None, **(counts or {}))

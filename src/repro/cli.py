@@ -529,27 +529,35 @@ def _cell(args, platform: str, workload: str, ssd_config=None, **overrides) -> G
     )
 
 
+def _run_knobs(args, executor) -> dict:
+    """The shared ``jobs``/``cache``/``image_cache``/``chunk``/``executor``
+    keywords every run command passes on."""
+    return dict(
+        jobs=args.jobs,
+        cache=_result_cache(args),
+        image_cache=_image_cache(args),
+        chunk=args.chunk,
+        executor=executor,
+    )
+
+
+def _run_cells(args, cells):
+    with _executor_scope(args) as executor:
+        return run_grid(cells, **_run_knobs(args, executor))
+
+
+def _images_note(built: int, reused: int) -> str:
+    return f" [images: {built} built, {reused} reused]" if built or reused else ""
+
+
 def _grid_summary(outcome) -> str:
-    summary = f"[{outcome.executed} simulated, {outcome.cache_hits} from cache]"
-    if outcome.images_built or outcome.image_hits:
-        summary += (
-            f" [images: {outcome.images_built} built,"
-            f" {outcome.image_hits} reused]"
-        )
-    return summary
+    note = _images_note(outcome.images_built, outcome.image_hits)
+    return f"[{outcome.executed} simulated, {outcome.cache_hits} from cache]{note}"
 
 
 def cmd_run(args) -> int:
     cell = _cell(args, platform_by_name(args.platform).name, args.workload)
-    with _executor_scope(args) as executor:
-        outcome = run_grid(
-            [cell],
-            jobs=args.jobs,
-            cache=_result_cache(args),
-            image_cache=_image_cache(args),
-            chunk=args.chunk,
-            executor=executor,
-        )
+    outcome = _run_cells(args, [cell])
     result = outcome.results[0]
     rows = [
         ("throughput (targets/s)", f"{result.throughput_targets_per_sec:,.0f}"),
@@ -574,15 +582,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cells = [_cell(args, name, args.workload) for name in PLATFORMS]
-    with _executor_scope(args) as executor:
-        outcome = run_grid(
-            cells,
-            jobs=args.jobs,
-            cache=_result_cache(args),
-            image_cache=_image_cache(args),
-            chunk=args.chunk,
-            executor=executor,
-        )
+    outcome = _run_cells(args, cells)
     rows = []
     base = None
     for name, result in zip(PLATFORMS, outcome.results):
@@ -629,15 +629,7 @@ def cmd_sweep(args) -> int:
         for _label, config, extra in variants
         for platform in platforms
     ]
-    with _executor_scope(args) as executor:
-        outcome = run_grid(
-            cells,
-            jobs=args.jobs,
-            cache=_result_cache(args),
-            image_cache=_image_cache(args),
-            chunk=args.chunk,
-            executor=executor,
-        )
+    outcome = _run_cells(args, cells)
     results = iter(outcome.results)
     rows = []
     for label, _config, _extra in variants:
@@ -664,8 +656,6 @@ def cmd_scaleout(args) -> int:
     spec = workload_by_name(args.workload)
     if spec.num_nodes > args.nodes:
         spec = spec.scaled(args.nodes)
-    cache = _result_cache(args)
-    image_cache = _image_cache(args)
     outcomes = []
     with _executor_scope(args) as executor:
         for devices in device_counts:
@@ -682,14 +672,10 @@ def cmd_scaleout(args) -> int:
                         cross_partition_fraction=args.fraction,
                         ssd_config=_config(args),
                         seed=args.seed,
-                        jobs=args.jobs,
-                        cache=cache,
-                        image_cache=image_cache,
                         require_cached=args.from_cache,
-                        chunk=args.chunk,
                         partitioner=args.partitioner,
                         layout=args.layout,
-                        executor=executor,
+                        **_run_knobs(args, executor),
                     )
                 )
             except KeyError as err:
@@ -753,10 +739,9 @@ def cmd_scaleout(args) -> int:
         f"[{executed} simulated, {shard_hits} from cache, "
         f"{array_hits}/{len(outcomes)} arrays from cache]"
     )
-    images_built = sum(o.images_built for o in outcomes)
-    image_hits = sum(o.image_hits for o in outcomes)
-    if images_built or image_hits:
-        summary += f" [images: {images_built} built, {image_hits} reused]"
+    summary += _images_note(
+        sum(o.images_built for o in outcomes), sum(o.image_hits for o in outcomes)
+    )
     print(summary)
     return 0
 
@@ -775,7 +760,6 @@ def cmd_serve(args) -> int:
                 platform_by_name(args.platform).name,
                 spec,
                 qps_grid,
-                executor=executor,
                 arrival_kind=args.arrival,
                 on_s=args.on_ms / 1e3,
                 off_s=args.off_ms / 1e3,
@@ -789,11 +773,7 @@ def cmd_serve(args) -> int:
                 fanout=args.fanout,
                 ssd_config=_config(args),
                 seed=args.seed,
-                jobs=args.jobs,
-                cache=_result_cache(args),
-                image_cache=_image_cache(args),
                 require_cached=args.from_cache,
-                chunk=args.chunk,
                 page_cache=(
                     CacheConfig(
                         capacity_mb=args.cache_mb, policy=args.cache_policy
@@ -801,6 +781,7 @@ def cmd_serve(args) -> int:
                     if args.cache_mb > 0
                     else None
                 ),
+                **_run_knobs(args, executor),
             )
     except KeyError as err:
         print(err.args[0])
@@ -837,10 +818,10 @@ def cmd_serve(args) -> int:
         f"[{sweep.cells_executed} simulated, {sweep.cell_cache_hits} from cache, "
         f"{sweep.points_from_cache}/{len(sweep.outcomes)} points from cache]"
     )
-    images_built = sum(o.images_built for o in sweep.outcomes)
-    image_hits = sum(o.image_hits for o in sweep.outcomes)
-    if images_built or image_hits:
-        summary += f" [images: {images_built} built, {image_hits} reused]"
+    summary += _images_note(
+        sum(o.images_built for o in sweep.outcomes),
+        sum(o.image_hits for o in sweep.outcomes),
+    )
     print(summary)
     if args.slo_p99_us is not None:
         low = min(sweep.outcomes, key=lambda o: o.result.offered_qps).result
@@ -876,12 +857,8 @@ def cmd_cache_ablation(args) -> int:
                 ssd_config=_config(args),
                 seed=args.seed,
                 scaled_nodes=args.nodes,
-                jobs=args.jobs,
-                cache=_result_cache(args),
-                image_cache=_image_cache(args),
                 require_cached=args.from_cache,
-                chunk=args.chunk,
-                executor=executor,
+                **_run_knobs(args, executor),
             )
     except KeyError as err:
         print(err.args[0])
@@ -916,12 +893,7 @@ def cmd_cache_ablation(args) -> int:
         f"{outcome.cell_cache_hits} from cache"
         + (", ablation document from cache]" if outcome.from_cache else "]")
     )
-    if outcome.images_built or outcome.image_hits:
-        summary += (
-            f" [images: {outcome.images_built} built,"
-            f" {outcome.image_hits} reused]"
-        )
-    print(summary)
+    print(summary + _images_note(outcome.images_built, outcome.image_hits))
     return 0
 
 

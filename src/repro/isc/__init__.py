@@ -1,7 +1,8 @@
 """In-storage computing engines (functional models).
 
-Die-level sampler, channel-level command router, ONFI-style command
-encodings, and the deterministic TRNG stand-in.
+Die-level sampler, ONFI-style command encodings, and the deterministic
+TRNG stand-in. The timed channel-level command routing lives in the
+platform datapath (:mod:`repro.platforms.datapath`).
 """
 
 from .commands import (

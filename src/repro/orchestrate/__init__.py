@@ -35,9 +35,6 @@ from .grid import (
     run_grid,
 )
 from .serialize import (
-    RESULT_SCHEMA_VERSION,
-    SCALEOUT_SCHEMA_VERSION,
-    SERVING_SCHEMA_VERSION,
     result_from_payload,
     result_to_payload,
     scaleout_from_payload,
@@ -71,13 +68,10 @@ __all__ = [
     "CacheStats",
     "default_cache_dir",
     "stable_hash",
-    "RESULT_SCHEMA_VERSION",
     "result_to_payload",
     "result_from_payload",
-    "SCALEOUT_SCHEMA_VERSION",
     "scaleout_to_payload",
     "scaleout_from_payload",
-    "SERVING_SCHEMA_VERSION",
     "serving_to_payload",
     "serving_from_payload",
 ]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import __version__
 from ..directgraph import builder as _builder
 from ..directgraph import imagecache as _imagecache
 from ..cache.page import CacheConfig
@@ -36,12 +35,8 @@ from ..rng import stream_seed
 from ..ssd.config import SSDConfig, ull_ssd
 from ..workloads.registry import workload_by_name
 from ..workloads.specs import WorkloadSpec
-from .cache import ResultCache, stable_hash
-from .serialize import (
-    RESULT_SCHEMA_VERSION,
-    result_from_payload,
-    result_to_payload,
-)
+from .cache import ResultCache, lookup, require_cache, stable_hash, store
+from .serialize import artifact_key, non_default, result_from_payload, result_to_payload
 
 __all__ = [
     "GridCell",
@@ -105,7 +100,10 @@ class GridCell:
         return self.ssd_config or ull_ssd()
 
     def run_params(self, seed: int) -> Dict:
-        params = {
+        # Optional fields join only when set, so cells that predate them
+        # keep their cache keys (and traced scale-out shards never collide
+        # with an equal untraced run).
+        return {
             "batch_size": self.batch_size,
             "num_batches": self.num_batches,
             "num_hops": self.num_hops,
@@ -113,24 +111,14 @@ class GridCell:
             "hidden_dim": self.hidden_dim,
             "seed": seed,
             "pipeline_overlap": self.pipeline_overlap,
+            **non_default(
+                sample_trace=(self.sample_trace, False),
+                background_io=(self.background_io, None),
+                page_cache=(self.page_cache, None),
+                layout=(self.layout, DEFAULT_LAYOUT),
+                targets=(self.targets, None),
+            ),
         }
-        if self.sample_trace:
-            # included only when set: untraced cells keep their pre-trace
-            # cache keys, and traced cells (scale-out shards) never collide
-            # with an equal untraced run
-            params["sample_trace"] = True
-        if self.background_io is not None:
-            # same rule: plain cells keep their pre-background_io cache keys
-            params["background_io"] = self.background_io
-        if self.page_cache is not None:
-            # same rule again: uncached-datapath cells keep their keys
-            params["page_cache"] = self.page_cache
-        if self.layout != DEFAULT_LAYOUT:
-            # conditional like the rest: node-order cells keep their keys
-            params["layout"] = self.layout
-        if self.targets is not None:
-            params["targets"] = self.targets
-        return params
 
 
 def _cell_identity(cell: GridCell) -> Dict:
@@ -157,14 +145,32 @@ def derive_cell_seed(base_seed: int, cell: GridCell) -> int:
 
 def cell_cache_key(cell: GridCell, seed: int) -> str:
     """Content-addressed cache key for one (cell, effective seed)."""
-    return stable_hash(
-        {
-            "schema": RESULT_SCHEMA_VERSION,
-            "code_version": __version__,
-            **_cell_identity(cell),
-            "seed": seed,
-        }
-    )
+    return artifact_key("result", {**_cell_identity(cell), "seed": seed})
+
+
+def _lookup_cells(
+    cells: Sequence[GridCell], cache: Optional[ResultCache], base_seed: int
+) -> Tuple[List[int], List[str], List[Optional[Dict]]]:
+    """The per-cell lookup: effective seeds, cache keys, cached payloads.
+
+    Seeds and keys are fixed here, before any dispatch; a payload is
+    None where the cell is not (well-formed) in ``cache``.
+    """
+    seeds = [
+        cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
+        for cell in cells
+    ]
+    keys = [cell_cache_key(cell, seed) for cell, seed in zip(cells, seeds)]
+    return seeds, keys, [lookup(cache, "result", key) for key in keys]
+
+
+def store_cell(
+    cache: ResultCache, key: str, cell: GridCell, seed: int, payload: Dict
+) -> None:
+    """The per-cell put shared by :func:`run_grid` and remote workers."""
+    platform, workload = cell.resolved_platform(), cell.resolved_workload()
+    meta = dict(platform=platform.name, workload=workload.name, seed=seed)
+    store(cache, "result", key, payload, **meta)
 
 
 # Per-process bounded LRU of prepared workload images: the in-memory
@@ -209,6 +215,51 @@ def adopt_prepared(prepared: PreparedWorkload) -> None:
     _PREPARED_MEMO.move_to_end(key)
     while len(_PREPARED_MEMO) > _PREPARED_MEMO_MAX:
         _PREPARED_MEMO.popitem(last=False)
+
+
+def resolve_inputs(
+    platform: Union[str, PlatformFeatures],
+    workload: Union[str, WorkloadSpec, PreparedWorkload],
+    ssd_config: Optional[SSDConfig] = None,
+    scaled_nodes: Optional[int] = None,
+    *,
+    scale: bool = True,
+) -> Tuple[PlatformFeatures, SSDConfig, WorkloadSpec, int, Optional[PreparedWorkload]]:
+    """Resolve a whole-document entry point's inputs.
+
+    Returns ``(features, config, spec, scaled_nodes, prepared)``. A
+    :class:`PreparedWorkload` is adopted into the prepared-image memo and
+    keeps its own spec (``scaled_nodes`` defaults to its node count). A
+    registry name or spec gets ``scaled_nodes`` (default
+    :data:`DEFAULT_SCALED_NODES`) and, with ``scale``, is scaled down to
+    it the way :func:`run_platform` would.
+    """
+    if not isinstance(platform, PlatformFeatures):
+        platform = platform_by_name(platform)
+    config = ssd_config or ull_ssd()
+    if isinstance(workload, PreparedWorkload):
+        adopt_prepared(workload)
+        spec = workload.spec
+        nodes = spec.num_nodes if scaled_nodes is None else scaled_nodes
+        return platform, config, spec, nodes, workload
+    spec = workload_by_name(workload) if isinstance(workload, str) else workload
+    nodes = DEFAULT_SCALED_NODES if scaled_nodes is None else scaled_nodes
+    if scale and spec.num_nodes > nodes:
+        spec = spec.scaled(nodes)
+    return platform, config, spec, nodes, None
+
+
+def prepared_image(
+    spec: WorkloadSpec,
+    config: SSDConfig,
+    image_cache,
+    cache: Optional[ResultCache],
+    layout: str = DEFAULT_LAYOUT,
+) -> PreparedWorkload:
+    """The memoized prepared image of ``spec``, under the image-cache knob."""
+    icache = _resolve_image_cache(image_cache, cache)
+    root = str(icache.root) if icache is not None else None
+    return _prepared_for(spec, config.flash.page_size, root, layout)
 
 
 def _prepared_for(
@@ -347,20 +398,8 @@ def run_grid(
         raise ValueError("chunk must be >= 1 (or None for auto)")
     grid_executor = resolve_executor(executor)
     cells = list(cells)
-    seeds = [
-        cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
-        for cell in cells
-    ]
-    keys = [cell_cache_key(cell, seed) for cell, seed in zip(cells, seeds)]
-
-    payloads: List[Optional[Dict]] = [None] * len(cells)
-    pending: List[int] = []
-    for i, key in enumerate(keys):
-        document = cache.get(key) if cache is not None else None
-        if document is not None:
-            payloads[i] = document["payload"]
-        else:
-            pending.append(i)
+    seeds, keys, payloads = _lookup_cells(cells, cache, base_seed)
+    pending = [i for i, payload in enumerate(payloads) if payload is None]
 
     icache = _resolve_image_cache(image_cache, cache)
     icache_root = str(icache.root) if icache is not None else None
@@ -395,19 +434,7 @@ def run_grid(
     for i, payload in zip(pending, fresh):
         payloads[i] = payload
         if cache is not None:
-            cell = cells[i]
-            cache.put(
-                keys[i],
-                {
-                    "payload": payload,
-                    "meta": {
-                        "platform": cell.resolved_platform().name,
-                        "workload": cell.resolved_workload().name,
-                        "seed": seeds[i],
-                        "code_version": __version__,
-                    },
-                },
-            )
+            store_cell(cache, keys[i], cells[i], seeds[i], payload)
 
     pending_set = set(pending)
     return GridOutcome(
@@ -421,6 +448,20 @@ def run_grid(
     )
 
 
+def run_or_load(
+    cells: Sequence[GridCell],
+    cache: Optional[ResultCache],
+    require_cached: bool,
+    **run_kwargs,
+) -> GridOutcome:
+    """:func:`run_grid`, or under ``require_cached`` the cache-only
+    :func:`outcome_from_cache` (any miss raises ``KeyError``)."""
+    require_cache(cache, require_cached)
+    if require_cached:
+        return outcome_from_cache(cells, cache)
+    return run_grid(cells, cache=cache, **run_kwargs)
+
+
 def load_cached(
     cells: Sequence[GridCell],
     cache: ResultCache,
@@ -432,14 +473,8 @@ def load_cached(
     Lets analysis/plotting code reload a finished sweep without being
     able to accidentally trigger hours of simulation.
     """
-    out: List[Optional[RunResult]] = []
-    for cell in cells:
-        seed = cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
-        document = cache.get(cell_cache_key(cell, seed))
-        out.append(
-            result_from_payload(document["payload"]) if document else None
-        )
-    return out
+    payloads = _lookup_cells(cells, cache, base_seed)[2]
+    return [None if p is None else result_from_payload(p) for p in payloads]
 
 
 def outcome_from_cache(
@@ -455,21 +490,12 @@ def outcome_from_cache(
     ``KeyError`` naming the missing cells — never silently simulates.
     """
     cells = list(cells)
-    seeds = [
-        cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
-        for cell in cells
+    _seeds, keys, payloads = _lookup_cells(cells, cache, base_seed)
+    missing = [
+        f"{cell.resolved_platform().name}/{cell.resolved_workload().name}"
+        for cell, payload in zip(cells, payloads)
+        if payload is None
     ]
-    keys = [cell_cache_key(cell, seed) for cell, seed in zip(cells, seeds)]
-    payloads = []
-    missing = []
-    for cell, key in zip(cells, keys):
-        document = cache.get(key)
-        if document is None:
-            missing.append(
-                f"{cell.resolved_platform().name}/{cell.resolved_workload().name}"
-            )
-        else:
-            payloads.append(document["payload"])
     if missing:
         raise KeyError(
             f"{len(missing)} of {len(cells)} cells not in result cache "

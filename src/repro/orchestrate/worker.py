@@ -194,14 +194,14 @@ def _execute_chunk_message(
 ) -> tuple:
     """Simulate one chunk message; returns (payloads, executed, cached)."""
     from .batched import execute_batch
-    from .cache import ResultCache
+    from .cache import ResultCache, lookup
+    from .grid import store_cell
 
     jobs = [decode_job(j) for j in message.get("jobs", [])]
     if image_cache_root is not None:
         jobs = [(cell, seed, image_cache_root) for cell, seed, _root in jobs]
 
     payloads: List[Optional[Dict]] = [None] * len(jobs)
-    to_run = list(range(len(jobs)))
     cache = None
     keys = message.get("keys")
     cache_root = message.get("cache_root")
@@ -209,13 +209,8 @@ def _execute_chunk_message(
         # Shared-store fast path: cells another worker already simulated
         # (this sweep or any earlier one) are a read, not a simulation.
         cache = ResultCache(cache_root)
-        to_run = []
-        for i, key in enumerate(keys):
-            document = cache.get(key)
-            if document is not None and "payload" in document:
-                payloads[i] = document["payload"]
-            else:
-                to_run.append(i)
+        payloads = [lookup(cache, "result", key) for key in keys]
+    to_run = [i for i, payload in enumerate(payloads) if payload is None]
 
     chunk_id = message.get("chunk_id")
     last_beat = [time.monotonic()]
@@ -237,16 +232,5 @@ def _execute_chunk_message(
         payloads[i] = payload
         if cache is not None:
             cell, seed, _root = jobs[i]
-            cache.put(
-                keys[i],
-                {
-                    "payload": payload,
-                    "meta": {
-                        "platform": cell.resolved_platform().name,
-                        "workload": cell.resolved_workload().name,
-                        "seed": seed,
-                        "code_version": __version__,
-                    },
-                },
-            )
+            store_cell(cache, keys[i], cell, seed, payload)
     return payloads, len(to_run), len(jobs) - len(to_run)

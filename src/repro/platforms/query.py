@@ -15,7 +15,7 @@ from typing import List, Optional, Union
 from ..quantile import mean, percentile
 from ..ssd.config import SSDConfig
 from ..workloads.specs import WorkloadSpec
-from .runner import DEFAULT_SCALED_NODES, PreparedWorkload
+from .runner import PreparedWorkload
 
 __all__ = ["QueryLatencyResult", "measure_query_latency"]
 
@@ -74,23 +74,14 @@ def measure_query_latency(
     ``jobs`` all apply. ``require_cached=True`` raises ``KeyError`` on
     any miss instead of simulating (the warm-cache figure path).
     """
-    from ..orchestrate.grid import (
-        GridCell,
-        adopt_prepared,
-        outcome_from_cache,
-        run_grid,
-    )
+    from ..orchestrate.grid import GridCell, resolve_inputs, run_or_load
 
     if num_queries < 1:
         raise ValueError("need at least one query")
-    if isinstance(workload, PreparedWorkload):
-        adopt_prepared(workload)
-        spec = workload.spec
-        scaled_nodes = spec.num_nodes
-    else:
-        # mirror run_platform's scaling rule via GridCell.resolved_workload
-        spec = workload
-        scaled_nodes = DEFAULT_SCALED_NODES
+    # GridCell.resolved_workload applies run_platform's scaling rule
+    _features, _config, spec, scaled_nodes, _prepared = resolve_inputs(
+        platform, workload, scale=False
+    )
     cells = [
         GridCell(
             platform=platform,
@@ -105,14 +96,9 @@ def measure_query_latency(
         )
         for q in range(num_queries)
     ]
-    if require_cached:
-        if cache is None:
-            raise ValueError("require_cached needs a result cache")
-        grid = outcome_from_cache(cells, cache)
-    else:
-        grid = run_grid(
-            cells, jobs=jobs, cache=cache, image_cache=image_cache, chunk=chunk
-        )
+    grid = run_or_load(
+        cells, cache, require_cached, jobs=jobs, image_cache=image_cache, chunk=chunk
+    )
     return QueryLatencyResult(
         platform=platform,
         batch_size=batch_size,

@@ -27,24 +27,20 @@ N-device array as a genuinely *sharded* simulation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .. import __version__
-from ..cacheutil import stable_hash
 from ..directgraph.layout import DEFAULT_LAYOUT, LAYOUTS
 from ..gnn.sampling import tree_capacity
 from ..partition import DEFAULT_PARTITIONER, PARTITIONERS, partition_graph
 from ..rng import counter_draw, stream_seed
-from ..ssd.config import SSDConfig, ull_ssd
-from ..workloads.registry import workload_by_name
+from ..ssd.config import SSDConfig
 from ..workloads.specs import WorkloadSpec
 from .features import PlatformFeatures
-from .registry import platform_by_name
 from .result import RunResult
-from .runner import DEFAULT_SCALED_NODES, PreparedWorkload
+from .runner import PreparedWorkload
 
 __all__ = [
     "P2pLink",
@@ -171,25 +167,10 @@ class ScaleOutResult:
     # -- lossless serialization (result cache) ------------------------------
 
     def to_dict(self) -> Dict:
-        data = {
-            "num_devices": self.num_devices,
-            "per_device": [r.to_dict() for r in self.per_device],
-            "shard_batch_sizes": list(self.shard_batch_sizes),
-            "cross_partition_fraction": self.cross_partition_fraction,
-            "measured_remote_fraction": self.measured_remote_fraction,
-            "remote_samples": list(self.remote_samples),
-            "link_vectors": [list(row) for row in self.link_vectors],
-            "link": {
-                "bandwidth_bps": self.link.bandwidth_bps,
-                "per_batch_sync_s": self.link.per_batch_sync_s,
-            },
-            "p2p_seconds_per_batch": self.p2p_seconds_per_batch,
-            "batch_seconds": self.batch_seconds,
-            "total_targets": self.total_targets,
-            "total_seconds": self.total_seconds,
-        }
-        if self.partitioner is not None:
-            data["partitioner"] = self.partitioner
+        data = asdict(replace(self, per_device=[]))
+        data["per_device"] = [r.to_dict() for r in self.per_device]
+        if self.partitioner is None:
+            del data["partitioner"]
         return data
 
     @classmethod
@@ -255,7 +236,7 @@ def scaleout_cache_key(
     the defaults, so every pre-existing hash/node-order document keeps
     its key.
     """
-    from ..orchestrate.serialize import SCALEOUT_SCHEMA_VERSION
+    from ..orchestrate.serialize import artifact_key, non_default
 
     run: Dict = {
         "num_devices": num_devices,
@@ -265,22 +246,20 @@ def scaleout_cache_key(
         "fanout": fanout,
         "cross_partition_fraction": cross_partition_fraction,
         "seed": seed,
+        **non_default(
+            partitioner=(partitioner, DEFAULT_PARTITIONER),
+            layout=(layout, DEFAULT_LAYOUT),
+        ),
     }
-    if partitioner != DEFAULT_PARTITIONER:
-        run["partitioner"] = partitioner
-    if layout != DEFAULT_LAYOUT:
-        run["layout"] = layout
-    return stable_hash(
+    return artifact_key(
+        "scaleout",
         {
-            "kind": "scaleout",
-            "schema": SCALEOUT_SCHEMA_VERSION,
-            "code_version": __version__,
             "platform": platform,
             "workload": spec,
             "ssd_config": config,
             "link": link,
             "run": run,
-        }
+        },
     )
 
 
@@ -367,14 +346,8 @@ def scaleout_outcome(
     """
     from ..directgraph import builder as _builder
     from ..directgraph import imagecache as _imagecache
-    from ..orchestrate.grid import (
-        GridCell,
-        _prepared_for,
-        _resolve_image_cache,
-        adopt_prepared,
-        run_grid,
-    )
-    from ..orchestrate.serialize import scaleout_from_payload, scaleout_to_payload
+    from ..orchestrate.cache import cached
+    from ..orchestrate.grid import GridCell, prepared_image, resolve_inputs, run_grid
 
     if num_devices < 1:
         raise ValueError("need at least one device")
@@ -400,17 +373,10 @@ def scaleout_outcome(
     ):
         raise ValueError("cross_partition_fraction must be in [0, 1]")
     link = link or P2pLink()
-    features = (
-        platform
-        if isinstance(platform, PlatformFeatures)
-        else platform_by_name(platform)
+    features, config, spec, _nodes, prepared = resolve_inputs(
+        platform, workload, ssd_config
     )
-    config = ssd_config or ull_ssd()
-
-    prepared: Optional[PreparedWorkload] = None
-    if isinstance(workload, PreparedWorkload):
-        prepared = workload
-        spec = prepared.spec
+    if prepared is not None:
         if prepared.image.spec.page_size != config.flash.page_size:
             raise ValueError(
                 f"prepared image page size {prepared.image.spec.page_size} "
@@ -421,11 +387,6 @@ def scaleout_outcome(
                 f"prepared workload uses layout {prepared.layout!r}, "
                 f"array requested {layout!r}"
             )
-    else:
-        spec = workload_by_name(workload) if isinstance(workload, str) else workload
-        # mirror run_platform's scaling rule
-        if spec.num_nodes > DEFAULT_SCALED_NODES:
-            spec = spec.scaled(DEFAULT_SCALED_NODES)
 
     key = scaleout_cache_key(
         num_devices,
@@ -442,163 +403,137 @@ def scaleout_outcome(
         partitioner=partitioner,
         layout=layout,
     )
-    if cache is not None:
-        document = cache.get(key)
-        if document is not None:
-            return ScaleOutOutcome(
-                result=scaleout_from_payload(document["payload"]),
-                key=key,
-                from_cache=True,
+
+    def compute() -> Tuple[ScaleOutResult, Dict]:
+        if require_cached:
+            raise KeyError(
+                f"scale-out result {key[:12]}... not in result cache — "
+                "run without --from-cache first"
             )
-    if require_cached:
-        raise KeyError(
-            f"scale-out result {key[:12]}... not in result cache — "
-            "run without --from-cache first"
-        )
+        builds_before = _builder.BUILD_COUNTER.count
+        image_hits_before = _imagecache.COUNTERS.hits
 
-    builds_before = _builder.BUILD_COUNTER.count
-    image_hits_before = _imagecache.COUNTERS.hits
-
-    if prepared is not None:
-        adopt_prepared(prepared)
-
-    owner: Optional[np.ndarray] = None
-    routed: Optional[List[Tuple[Tuple[int, ...], ...]]] = None
-    if partitioner != DEFAULT_PARTITIONER:
-        # Locality-aware ownership needs the graph up front (and the
-        # routed target draws need the ownership); the prepared image is
-        # adopted into the grid memo so shards never rebuild it.
-        if prepared is None:
-            icache = _resolve_image_cache(image_cache, cache)
-            prepared = _prepared_for(
-                spec,
-                config.flash.page_size,
-                str(icache.root) if icache is not None else None,
-                layout,
+        owner: Optional[np.ndarray] = None
+        routed: Optional[List[Tuple[Tuple[int, ...], ...]]] = None
+        if partitioner != DEFAULT_PARTITIONER:
+            # Locality-aware ownership needs the graph up front (and the
+            # routed target draws need the ownership); the prepared image
+            # sits in the grid memo so shards never rebuild it.
+            image = prepared or prepared_image(spec, config, image_cache, cache, layout)
+            owner = partition_nodes(
+                spec.num_nodes, num_devices, seed,
+                partitioner=partitioner, graph=image.graph,
             )
-        owner = partition_nodes(
-            spec.num_nodes, num_devices, seed,
-            partitioner=partitioner, graph=prepared.graph,
+            routed = _route_targets(
+                owner, spec.num_nodes, batch_size, num_batches, num_devices, seed
+            )
+
+        sizes = shard_batch_sizes(batch_size, num_devices)
+        cells = [
+            GridCell(
+                platform=features,
+                workload=spec,
+                ssd_config=ssd_config,
+                batch_size=sizes[s],
+                num_batches=num_batches,
+                num_hops=num_hops,
+                fanout=fanout,
+                seed=derive_shard_seed(seed, s),
+                scaled_nodes=spec.num_nodes,
+                sample_trace=True,
+                layout=layout,
+                targets=routed[s] if routed is not None else None,
+            )
+            for s in range(num_devices)
+        ]
+        grid = run_grid(
+            cells,
+            jobs=jobs,
+            cache=cache,
+            image_cache=image_cache,
+            chunk=chunk,
+            executor=executor,
         )
-        routed = _route_targets(
-            owner, spec.num_nodes, batch_size, num_batches, num_devices, seed
+        devices: List[RunResult] = grid.results
+
+        # Measured exchange: every sampled position whose node lives on a
+        # foreign shard sends one feature vector owner -> requesting device.
+        if owner is None:
+            owner = partition_nodes(spec.num_nodes, num_devices, seed)
+        link_vectors = [[0] * num_devices for _ in range(num_devices)]
+        remote_samples = [0] * num_devices
+        candidates = 0
+        for s, shard_result in enumerate(devices):
+            for batch in shard_result.sample_trace or []:
+                for _target, _position, node, depth in batch:
+                    candidates += 1
+                    if depth == 0:
+                        continue  # the target's own feature read is always local
+                    owning = owner[node]
+                    if owning != s:
+                        link_vectors[owning][s] += 1
+                        remote_samples[s] += 1
+        total_remote = sum(remote_samples)
+        measured_fraction = total_remote / candidates if candidates else 0.0
+
+        positions = tree_capacity((fanout,) * num_hops)
+        if cross_partition_fraction is None:
+            remote_vectors = float(total_remote)
+        else:
+            remote_vectors = (
+                batch_size * positions * num_batches * cross_partition_fraction
+            )
+        p2p_bytes = remote_vectors * spec.feature_dim * FP16_BYTES
+        # One exchange round per array batch: the batch's remote vectors
+        # drain across the array's num_devices P2P ports in parallel.
+        p2p_seconds = (
+            (p2p_bytes / num_batches) / (link.bandwidth_bps * num_devices)
+            + link.per_batch_sync_s
+            if num_devices > 1
+            else 0.0
         )
 
-    sizes = shard_batch_sizes(batch_size, num_devices)
-    cells = [
-        GridCell(
-            platform=features,
-            workload=spec,
-            ssd_config=ssd_config,
-            batch_size=sizes[s],
-            num_batches=num_batches,
-            num_hops=num_hops,
-            fanout=fanout,
-            seed=derive_shard_seed(seed, s),
-            scaled_nodes=spec.num_nodes,
-            sample_trace=True,
-            layout=layout,
-            targets=routed[s] if routed is not None else None,
+        slowest_batch = max(
+            (d.total_seconds / num_batches for d in devices), default=0.0
         )
-        for s in range(num_devices)
-    ]
-    grid = run_grid(
-        cells,
-        jobs=jobs,
-        cache=cache,
-        image_cache=image_cache,
-        chunk=chunk,
-        executor=executor,
-    )
-    devices: List[RunResult] = grid.results
-
-    # Measured exchange: every sampled position whose node lives on a
-    # foreign shard sends one feature vector owner -> requesting device.
-    if owner is None:
-        owner = partition_nodes(spec.num_nodes, num_devices, seed)
-    link_vectors = [[0] * num_devices for _ in range(num_devices)]
-    remote_samples = [0] * num_devices
-    candidates = 0
-    for s, shard_result in enumerate(devices):
-        for batch in shard_result.sample_trace or []:
-            for _target, _position, node, depth in batch:
-                candidates += 1
-                if depth == 0:
-                    continue  # the target's own feature read is always local
-                owning = owner[node]
-                if owning != s:
-                    link_vectors[owning][s] += 1
-                    remote_samples[s] += 1
-    total_remote = sum(remote_samples)
-    measured_fraction = total_remote / candidates if candidates else 0.0
-
-    positions = tree_capacity((fanout,) * num_hops)
-    if cross_partition_fraction is None:
-        remote_vectors = float(total_remote)
-    else:
-        remote_vectors = (
-            batch_size * positions * num_batches * cross_partition_fraction
+        batch_seconds = slowest_batch + p2p_seconds
+        result = ScaleOutResult(
+            num_devices=num_devices,
+            per_device=devices,
+            shard_batch_sizes=sizes,
+            cross_partition_fraction=cross_partition_fraction,
+            measured_remote_fraction=measured_fraction,
+            remote_samples=remote_samples,
+            link_vectors=link_vectors,
+            link=link,
+            p2p_seconds_per_batch=p2p_seconds,
+            batch_seconds=batch_seconds,
+            total_targets=batch_size * num_batches,
+            total_seconds=batch_seconds * num_batches,
+            partitioner=(
+                partitioner if partitioner != DEFAULT_PARTITIONER else None
+            ),
         )
-    p2p_bytes = remote_vectors * spec.feature_dim * FP16_BYTES
-    # One exchange round per array batch: the batch's remote vectors
-    # drain across the array's num_devices P2P ports in parallel.
-    p2p_seconds = (
-        (p2p_bytes / num_batches) / (link.bandwidth_bps * num_devices)
-        + link.per_batch_sync_s
-        if num_devices > 1
-        else 0.0
-    )
+        counts = dict(
+            shards_executed=grid.executed,
+            shard_cache_hits=grid.cache_hits,
+            # function-wide deltas: a routed array prepares its image before
+            # the grid runs, and that build/hit must count too
+            images_built=_builder.BUILD_COUNTER.count - builds_before,
+            image_hits=_imagecache.COUNTERS.hits - image_hits_before,
+        )
+        return result, counts
 
-    slowest_batch = max(
-        (d.total_seconds / num_batches for d in devices), default=0.0
-    )
-    batch_seconds = slowest_batch + p2p_seconds
-    result = ScaleOutResult(
+    meta = dict(
+        platform=features.name,
+        workload=spec.name,
         num_devices=num_devices,
-        per_device=devices,
-        shard_batch_sizes=sizes,
-        cross_partition_fraction=cross_partition_fraction,
-        measured_remote_fraction=measured_fraction,
-        remote_samples=remote_samples,
-        link_vectors=link_vectors,
-        link=link,
-        p2p_seconds_per_batch=p2p_seconds,
-        batch_seconds=batch_seconds,
-        total_targets=batch_size * num_batches,
-        total_seconds=batch_seconds * num_batches,
-        partitioner=(
-            partitioner if partitioner != DEFAULT_PARTITIONER else None
-        ),
+        seed=seed,
     )
-    # Fresh results take the same payload round trip a cache hit does, so
-    # the two are interchangeable bit for bit.
-    payload = scaleout_to_payload(result)
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "payload": payload,
-                "meta": {
-                    "kind": "scaleout",
-                    "platform": features.name,
-                    "workload": spec.name,
-                    "num_devices": num_devices,
-                    "seed": seed,
-                    "code_version": __version__,
-                },
-            },
-        )
-    return ScaleOutOutcome(
-        result=scaleout_from_payload(payload),
-        key=key,
-        from_cache=False,
-        shards_executed=grid.executed,
-        shard_cache_hits=grid.cache_hits,
-        # function-wide deltas: a routed array prepares its image before
-        # the grid runs, and that build/hit must count too
-        images_built=_builder.BUILD_COUNTER.count - builds_before,
-        image_hits=_imagecache.COUNTERS.hits - image_hits_before,
+    result, counts = cached(
+        cache, "scaleout", key, compute, meta, require_cached=require_cached
     )
+    return ScaleOutOutcome(result, key, from_cache=counts is None, **(counts or {}))
 
 
 def run_scaleout(

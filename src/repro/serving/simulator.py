@@ -39,19 +39,15 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from .. import __version__
 from ..cache.page import CacheConfig
-from ..cacheutil import stable_hash
 from ..platforms.features import PlatformFeatures
-from ..platforms.registry import platform_by_name
 from ..platforms.result import RunResult
-from ..platforms.runner import DEFAULT_SCALED_NODES, PreparedWorkload
+from ..platforms.runner import PreparedWorkload
 from ..quantile import latency_summary, mean, percentile
-from ..ssd.config import SSDConfig, ull_ssd
-from ..workloads.registry import workload_by_name
+from ..ssd.config import SSDConfig
 from ..workloads.specs import WorkloadSpec
 from .arrivals import ArrivalProcess
 
@@ -145,25 +141,7 @@ class ServingResult:
         return latency_summary(self.latencies_s)
 
     def to_dict(self) -> Dict:
-        return {
-            "platform": self.platform,
-            "workload": self.workload,
-            "arrival": dict(self.arrival),
-            "offered_qps": self.offered_qps,
-            "num_queries": self.num_queries,
-            "query_batch_size": self.query_batch_size,
-            "max_batch": self.max_batch,
-            "batch_timeout_s": self.batch_timeout_s,
-            "queue_depth": self.queue_depth,
-            "max_live": self.max_live,
-            "seed": self.seed,
-            "latencies_s": list(self.latencies_s),
-            "queue_waits_s": list(self.queue_waits_s),
-            "shed": self.shed,
-            "batch_sizes": list(self.batch_sizes),
-            "makespan_s": self.makespan_s,
-            "last_arrival_s": self.last_arrival_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ServingResult":
@@ -236,8 +214,9 @@ class BatchService:
         chunk: Optional[int] = None,
         executor=None,
     ):
-        if require_cached and cache is None:
-            raise ValueError("require_cached needs a result cache")
+        from ..orchestrate.cache import require_cache
+
+        require_cache(cache, require_cached)
         self.jobs = jobs
         self.cache = cache
         self.image_cache = image_cache
@@ -259,22 +238,20 @@ class BatchService:
 
     def prefetch(self, cells) -> None:
         """Resolve many cells at once (the interleaved fan-out path)."""
-        from ..orchestrate.grid import outcome_from_cache, run_grid
+        from ..orchestrate.grid import run_or_load
 
         todo = [c for c in cells if self._key(c) not in self._memo]
         if not todo:
             return
-        if self.require_cached:
-            outcome = outcome_from_cache(todo, self.cache)
-        else:
-            outcome = run_grid(
-                todo,
-                jobs=self.jobs,
-                cache=self.cache,
-                image_cache=self.image_cache,
-                chunk=self.chunk,
-                executor=self.executor,
-            )
+        outcome = run_or_load(
+            todo,
+            self.cache,
+            self.require_cached,
+            jobs=self.jobs,
+            image_cache=self.image_cache,
+            chunk=self.chunk,
+            executor=self.executor,
+        )
         for cell, result in zip(todo, outcome.results):
             self._memo[self._key(cell)] = result
         self.cells_executed += outcome.executed
@@ -309,7 +286,7 @@ def serving_cache_key(
     page_cache: Optional[CacheConfig] = None,
 ) -> str:
     """Content-addressed cache key for one serving measurement point."""
-    from ..orchestrate.serialize import SERVING_SCHEMA_VERSION
+    from ..orchestrate.serialize import artifact_key, non_default
 
     run = {
         "num_queries": num_queries,
@@ -322,21 +299,17 @@ def serving_cache_key(
         "fanout": fanout,
         "scaled_nodes": scaled_nodes,
         "seed": seed,
+        **non_default(page_cache=(page_cache, None)),
     }
-    if page_cache is not None:
-        # included only when set: uncached serving points keep their keys
-        run["page_cache"] = page_cache
-    return stable_hash(
+    return artifact_key(
+        "serving",
         {
-            "kind": "serving",
-            "schema": SERVING_SCHEMA_VERSION,
-            "code_version": __version__,
             "platform": platform,
             "workload": spec,
             "ssd_config": config,
             "arrival": arrival,
             "run": run,
-        }
+        },
     )
 
 
@@ -385,8 +358,8 @@ def serve(
     per batch simulation, so service times — and with them the
     latency–throughput knee — shift accordingly.
     """
-    from ..orchestrate.grid import GridCell, adopt_prepared
-    from ..orchestrate.serialize import serving_from_payload, serving_to_payload
+    from ..orchestrate.cache import cached
+    from ..orchestrate.grid import GridCell, resolve_inputs
 
     if num_queries < 1:
         raise ValueError("need at least one query")
@@ -401,23 +374,10 @@ def serve(
     if max_live < 1:
         raise ValueError("max_live must be >= 1")
 
-    features = (
-        platform
-        if isinstance(platform, PlatformFeatures)
-        else platform_by_name(platform)
+    # mirror measure_query_latency: a registry spec is keyed unscaled
+    features, config, spec, scaled_nodes, _prepared = resolve_inputs(
+        platform, workload, ssd_config, scale=False
     )
-    config = ssd_config or ull_ssd()
-
-    prepared: Optional[PreparedWorkload] = None
-    if isinstance(workload, PreparedWorkload):
-        prepared = workload
-        spec = prepared.spec
-        scaled_nodes = spec.num_nodes
-    else:
-        # mirror measure_query_latency's scaling rule
-        spec = workload_by_name(workload) if isinstance(workload, str) else workload
-        scaled_nodes = DEFAULT_SCALED_NODES
-
     arrival_doc = arrival.to_dict()
     key = serving_cache_key(
         features,
@@ -436,15 +396,12 @@ def serve(
         seed=seed,
         page_cache=page_cache,
     )
-    if cache is not None:
-        document = cache.get(key)
-        if document is not None:
-            return ServingOutcome(
-                result=serving_from_payload(document["payload"]),
-                key=key,
-                from_cache=True,
-            )
-
+    meta = dict(
+        platform=features.name,
+        workload=spec.name,
+        offered_qps=arrival.mean_rate_qps,
+        seed=seed,
+    )
     if service is None:
         service = BatchService(
             jobs=jobs,
@@ -454,13 +411,6 @@ def serve(
             chunk=chunk,
             executor=executor,
         )
-    executed_before = service.cells_executed
-    hits_before = service.cell_cache_hits
-    images_before = service.images_built
-    image_hits_before = service.image_hits
-
-    if prepared is not None:
-        adopt_prepared(prepared)
 
     def query_cell(first_query: int, n_queries: int) -> GridCell:
         return GridCell(
@@ -476,137 +426,128 @@ def serve(
             page_cache=page_cache,
         )
 
-    arrivals = arrival.times(num_queries)
-    if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-        raise ValueError("arrival process produced decreasing timestamps")
+    def compute() -> Tuple[ServingResult, Dict]:
+        executed_before = service.cells_executed
+        hits_before = service.cell_cache_hits
+        images_before = service.images_built
+        image_hits_before = service.image_hits
 
-    # Single-query batches are fully determined by the arrival index, so
-    # the whole query population fans out through one interleaved grid
-    # up front (shared across every sweep point via the service memo).
-    if max_batch == 1 and not service.require_cached:
-        service.prefetch([query_cell(q, 1) for q in range(num_queries)])
+        arrivals = arrival.times(num_queries)
+        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
+            raise ValueError("arrival process produced decreasing timestamps")
 
-    # -- virtual-time event loop -------------------------------------------
-    waiting: Deque[int] = deque()
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for i, t in enumerate(arrivals):
-        heap.append((t, _ARRIVAL, seq, i))
-        seq += 1
-    heapq.heapify(heap)
+        # Single-query batches are fully determined by the arrival index, so
+        # the whole query population fans out through one interleaved grid
+        # up front (shared across every sweep point via the service memo).
+        if max_batch == 1 and not service.require_cached:
+            service.prefetch([query_cell(q, 1) for q in range(num_queries)])
 
-    waits: Dict[int, float] = {}
-    latencies: Dict[int, float] = {}
-    shed: List[int] = []
-    batches: List[Dict] = []  # {"indices": [...], "result": RunResult}
-    makespan = 0.0
-    free_slots = max_live
-    timeout_armed_for = -1
-
-    def dispatch_ready(now: float) -> None:
-        nonlocal free_slots, seq, timeout_armed_for
-        while free_slots > 0 and waiting:
-            if len(waiting) >= max_batch:
-                size = max_batch
-            elif batch_timeout_s <= 0.0:
-                size = len(waiting)
-            elif now >= arrivals[waiting[0]] + batch_timeout_s:
-                size = len(waiting)
-            else:
-                if timeout_armed_for != waiting[0]:
-                    timeout_armed_for = waiting[0]
-                    heapq.heappush(
-                        heap,
-                        (
-                            arrivals[waiting[0]] + batch_timeout_s,
-                            _TIMEOUT,
-                            seq,
-                            waiting[0],
-                        ),
-                    )
-                    seq += 1
-                return
-            indices = [waiting.popleft() for _ in range(size)]
-            result = service.result_for(query_cell(indices[0], len(indices)))
-            # Latency is wait + service, NOT finish-minus-arrival: the
-            # latter re-derives the service time through a float
-            # add/subtract pair and drifts ulps off the closed-loop
-            # harness's raw RunResult.total_seconds.
-            for q in indices:
-                waits[q] = now - arrivals[q]
-                latencies[q] = waits[q] + result.total_seconds
-            batches.append({"indices": indices, "result": result})
-            free_slots -= 1
-            heapq.heappush(
-                heap,
-                (now + result.total_seconds, _FINISH, seq, len(batches) - 1),
-            )
+        # -- virtual-time event loop ---------------------------------------
+        waiting: Deque[int] = deque()
+        heap: List[Tuple[float, int, int, int]] = []
+        seq = 0
+        for i, t in enumerate(arrivals):
+            heap.append((t, _ARRIVAL, seq, i))
             seq += 1
+        heapq.heapify(heap)
 
-    while heap:
-        now, priority, _seq, payload = heapq.heappop(heap)
-        if priority == _FINISH:
-            makespan = max(makespan, now)
-            free_slots += 1
-            dispatch_ready(now)
-        elif priority == _ARRIVAL:
-            if len(waiting) >= queue_depth:
-                shed.append(payload)
-            else:
-                waiting.append(payload)
+        waits: Dict[int, float] = {}
+        latencies: Dict[int, float] = {}
+        shed: List[int] = []
+        batches: List[Dict] = []  # {"indices": [...], "result": RunResult}
+        makespan = 0.0
+        free_slots = max_live
+        timeout_armed_for = -1
+
+        def dispatch_ready(now: float) -> None:
+            nonlocal free_slots, seq, timeout_armed_for
+            while free_slots > 0 and waiting:
+                if len(waiting) >= max_batch:
+                    size = max_batch
+                elif batch_timeout_s <= 0.0:
+                    size = len(waiting)
+                elif now >= arrivals[waiting[0]] + batch_timeout_s:
+                    size = len(waiting)
+                else:
+                    if timeout_armed_for != waiting[0]:
+                        timeout_armed_for = waiting[0]
+                        heapq.heappush(
+                            heap,
+                            (
+                                arrivals[waiting[0]] + batch_timeout_s,
+                                _TIMEOUT,
+                                seq,
+                                waiting[0],
+                            ),
+                        )
+                        seq += 1
+                    return
+                indices = [waiting.popleft() for _ in range(size)]
+                result = service.result_for(query_cell(indices[0], len(indices)))
+                # Latency is wait + service, NOT finish-minus-arrival: the
+                # latter re-derives the service time through a float
+                # add/subtract pair and drifts ulps off the closed-loop
+                # harness's raw RunResult.total_seconds.
+                for q in indices:
+                    waits[q] = now - arrivals[q]
+                    latencies[q] = waits[q] + result.total_seconds
+                batches.append({"indices": indices, "result": result})
+                free_slots -= 1
+                heapq.heappush(
+                    heap,
+                    (now + result.total_seconds, _FINISH, seq, len(batches) - 1),
+                )
+                seq += 1
+
+        while heap:
+            now, priority, _seq, payload = heapq.heappop(heap)
+            if priority == _FINISH:
+                makespan = max(makespan, now)
+                free_slots += 1
                 dispatch_ready(now)
-        else:  # _TIMEOUT
-            if timeout_armed_for == payload:
-                timeout_armed_for = -1
-            dispatch_ready(now)
+            elif priority == _ARRIVAL:
+                if len(waiting) >= queue_depth:
+                    shed.append(payload)
+                else:
+                    waiting.append(payload)
+                    dispatch_ready(now)
+            else:  # _TIMEOUT
+                if timeout_armed_for == payload:
+                    timeout_armed_for = -1
+                dispatch_ready(now)
 
-    assert not waiting, "serving event loop ended with queries still queued"
+        assert not waiting, "serving event loop ended with queries still queued"
 
-    completed = [q for q in range(num_queries) if q in latencies]
-    result = ServingResult(
-        platform=features.name,
-        workload=spec.name,
-        arrival=arrival_doc,
-        offered_qps=arrival.mean_rate_qps,
-        num_queries=num_queries,
-        query_batch_size=query_batch_size,
-        max_batch=max_batch,
-        batch_timeout_s=batch_timeout_s,
-        queue_depth=queue_depth,
-        max_live=max_live,
-        seed=seed,
-        latencies_s=[latencies[q] for q in completed],
-        queue_waits_s=[waits[q] for q in completed],
-        shed=len(shed),
-        batch_sizes=[len(b["indices"]) for b in batches],
-        makespan_s=makespan,
-        last_arrival_s=arrivals[-1],
-    )
-    # Fresh results take the same payload round trip a cache hit does, so
-    # the two are interchangeable bit for bit.
-    payload_doc = serving_to_payload(result)
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "payload": payload_doc,
-                "meta": {
-                    "kind": "serving",
-                    "platform": features.name,
-                    "workload": spec.name,
-                    "offered_qps": result.offered_qps,
-                    "seed": seed,
-                    "code_version": __version__,
-                },
-            },
+        completed = [q for q in range(num_queries) if q in latencies]
+        result = ServingResult(
+            platform=features.name,
+            workload=spec.name,
+            arrival=arrival_doc,
+            offered_qps=arrival.mean_rate_qps,
+            num_queries=num_queries,
+            query_batch_size=query_batch_size,
+            max_batch=max_batch,
+            batch_timeout_s=batch_timeout_s,
+            queue_depth=queue_depth,
+            max_live=max_live,
+            seed=seed,
+            latencies_s=[latencies[q] for q in completed],
+            queue_waits_s=[waits[q] for q in completed],
+            shed=len(shed),
+            batch_sizes=[len(b["indices"]) for b in batches],
+            makespan_s=makespan,
+            last_arrival_s=arrivals[-1],
         )
-    return ServingOutcome(
-        result=serving_from_payload(payload_doc),
-        key=key,
-        from_cache=False,
-        cells_executed=service.cells_executed - executed_before,
-        cell_cache_hits=service.cell_cache_hits - hits_before,
-        images_built=service.images_built - images_before,
-        image_hits=service.image_hits - image_hits_before,
-        batch_results=[b["result"] for b in batches],
+        counts = dict(
+            cells_executed=service.cells_executed - executed_before,
+            cell_cache_hits=service.cell_cache_hits - hits_before,
+            images_built=service.images_built - images_before,
+            image_hits=service.image_hits - image_hits_before,
+            batch_results=[b["result"] for b in batches],
+        )
+        return result, counts
+
+    result, counts = cached(
+        cache, "serving", key, compute, meta, require_cached=require_cached
     )
+    return ServingOutcome(result, key, from_cache=counts is None, **(counts or {}))
