@@ -25,7 +25,7 @@ its optimality is a theorem, not a hope.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .page import DEFAULT_HIT_LATENCY_S, CacheConfig
@@ -207,7 +207,7 @@ def sweep_cache(
     ``KeyError`` rather than simulate.
     """
     from ..orchestrate.cache import cached
-    from ..orchestrate.grid import GridCell, prepared_image, resolve_inputs, run_or_load
+    from ..orchestrate.grid import base_cell, prepared_image, run_or_load
 
     capacities_mb = [float(v) for v in capacities_mb]
     policies = list(policies)
@@ -216,8 +216,13 @@ def sweep_cache(
     if not policies:
         raise ValueError("policies must not be empty")
 
-    features, config, spec, scaled_nodes, prepared = resolve_inputs(
-        platform, workload, ssd_config, scaled_nodes
+    base, prepared = base_cell(
+        platform, workload, scaled_nodes, ssd_config=ssd_config,
+        batch_size=batch_size, num_batches=num_batches, num_hops=num_hops,
+        fanout=fanout, seed=seed,
+    )
+    features, config, spec = (
+        base.resolved_platform(), base.resolved_config(), base.resolved_workload()
     )
     page_size = config.flash.page_size
     key = cache_ablation_key(
@@ -231,32 +236,17 @@ def sweep_cache(
         num_batches=num_batches,
         num_hops=num_hops,
         fanout=fanout,
-        scaled_nodes=scaled_nodes,
+        scaled_nodes=base.scaled_nodes,
         seed=seed,
     )
 
-    def cell(page_cache: Optional[CacheConfig], sample_trace: bool) -> GridCell:
-        return GridCell(
-            platform=features,
-            workload=spec,
-            ssd_config=ssd_config,
-            batch_size=batch_size,
-            num_batches=num_batches,
-            num_hops=num_hops,
-            fanout=fanout,
-            seed=seed,
-            scaled_nodes=scaled_nodes,
-            sample_trace=sample_trace,
-            page_cache=page_cache,
-        )
-
     grid = [(c, p) for c in capacities_mb for p in policies]
-    cells = [cell(None, True)] + [
-        cell(
-            CacheConfig(
+    cells = [replace(base, sample_trace=True)] + [
+        replace(
+            base,
+            page_cache=CacheConfig(
                 capacity_mb=capacity, policy=policy, hit_latency_s=hit_latency_s
             ),
-            False,
         )
         for capacity, policy in grid
     ]
@@ -274,7 +264,7 @@ def sweep_cache(
         baseline, measured = outcome.results[0], outcome.results[1:]
 
         # Offline replay: one canonical trace prices every point + Belady.
-        image = prepared or prepared_image(spec, config, image_cache, cache)
+        image = prepared or prepared_image(base, image_cache, cache)
         pages = page_trace_from_result(baseline, image.image, features, num_hops)
         capacity_pages = {
             c: CacheConfig(capacity_mb=c).capacity_pages(page_size)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import List, Optional
 
 from .bench import format_table
@@ -43,6 +44,7 @@ from .platforms import (
     PLATFORMS,
     platform_by_name,
 )
+from .platforms.runner import scaled_spec
 from .ssd import traditional_ssd, ull_ssd
 from .workloads import WORKLOADS, workload_by_name
 
@@ -510,23 +512,14 @@ def _executor_scope(args):
         executor.close()
 
 
-def _cell(args, platform: str, workload: str, ssd_config=None, **overrides) -> GridCell:
-    params = dict(
-        batch_size=args.batch,
-        num_batches=args.batches,
-        num_hops=args.hops,
-        fanout=args.fanout,
-        seed=args.seed,
-        scaled_nodes=args.nodes,
-        layout=getattr(args, "layout", "node-order"),
+def _cell(args, platform: str, **overrides) -> GridCell:
+    """The run the common run flags describe for ``platform``, with overrides."""
+    base = GridCell(
+        platform, args.workload, ssd_config=_config(args), batch_size=args.batch,
+        num_batches=args.batches, num_hops=args.hops, fanout=args.fanout,
+        seed=args.seed, scaled_nodes=args.nodes, layout=args.layout,
     )
-    params.update(overrides)
-    return GridCell(
-        platform=platform,
-        workload=workload,
-        ssd_config=ssd_config if ssd_config is not None else _config(args),
-        **params,
-    )
+    return replace(base, **overrides)
 
 
 def _run_knobs(args, executor) -> dict:
@@ -556,7 +549,7 @@ def _grid_summary(outcome) -> str:
 
 
 def cmd_run(args) -> int:
-    cell = _cell(args, platform_by_name(args.platform).name, args.workload)
+    cell = _cell(args, platform_by_name(args.platform).name)
     outcome = _run_cells(args, [cell])
     result = outcome.results[0]
     rows = [
@@ -581,7 +574,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cells = [_cell(args, name, args.workload) for name in PLATFORMS]
+    cells = [_cell(args, name) for name in PLATFORMS]
     outcome = _run_cells(args, cells)
     rows = []
     base = None
@@ -622,17 +615,19 @@ def cmd_sweep(args) -> int:
             (f"{v}", base.with_flash(dies_per_channel=v), {})
             for v in (2, 4, 8, 16)
         ],
-        "batch": [(f"{v}", None, {"batch_size": v}) for v in (32, 64, 128, 256)],
+        "batch": [
+            (f"{v}", _config(args), {"batch_size": v}) for v in (32, 64, 128, 256)
+        ],
     }[args.knob]
     cells = [
-        _cell(args, platform, args.workload, ssd_config=config, **extra)
+        _cell(args, platform, ssd_config=config, **extra)
         for _label, config, extra in variants
         for platform in platforms
     ]
     outcome = _run_cells(args, cells)
     results = iter(outcome.results)
     rows = []
-    for label, _config, _extra in variants:
+    for label, _ssd, _extra in variants:
         row = [label]
         for _platform in platforms:
             result = next(results)
@@ -653,9 +648,7 @@ def cmd_scaleout(args) -> int:
     from .platforms.scaleout import scaleout_outcome
 
     device_counts = [int(v) for v in args.devices.split(",")]
-    spec = workload_by_name(args.workload)
-    if spec.num_nodes > args.nodes:
-        spec = spec.scaled(args.nodes)
+    spec = scaled_spec(workload_by_name(args.workload), args.nodes)
     outcomes = []
     with _executor_scope(args) as executor:
         for devices in device_counts:
@@ -751,9 +744,7 @@ def cmd_serve(args) -> int:
     from .serving import sweep_serving
 
     qps_grid = [float(v) for v in args.qps.split(",")]
-    spec = workload_by_name(args.workload)
-    if spec.num_nodes > args.nodes:
-        spec = spec.scaled(args.nodes)
+    spec = scaled_spec(workload_by_name(args.workload), args.nodes)
     try:
         with _executor_scope(args) as executor:
             sweep = sweep_serving(

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..platforms.runner import PlatformRun
 from .envcfg import env_float
+from .grid import start_cell
 from .serialize import result_to_payload
 
 __all__ = [
@@ -123,26 +124,6 @@ def auto_chunk_size(n_cells: int, jobs: int) -> int:
     return max(1, math.ceil(n_cells / (jobs * 4)))
 
 
-def _start_run(job: Tuple) -> PlatformRun:
-    """Launch one cell's simulation; mirrors ``grid._execute_cell`` setup."""
-    from .grid import _prepared_for
-
-    cell, seed, image_cache_root = job
-    config = cell.resolved_config()
-    prepared = _prepared_for(
-        cell.resolved_workload(),
-        config.flash.page_size,
-        image_cache_root,
-        cell.layout,
-    )
-    return PlatformRun(
-        cell.resolved_platform(),
-        prepared,
-        ssd_config=config,
-        **cell.run_params(seed),
-    )
-
-
 def execute_batch(
     jobs: Sequence[Tuple],
     *,
@@ -179,7 +160,7 @@ def execute_batch(
     while live or pending:
         while pending and len(live) < max_live:
             i = pending.popleft()
-            live.append((i, _start_run(jobs[i])))
+            live.append((i, start_cell(jobs[i])))
         still_live: List[Tuple[int, PlatformRun]] = []
         for i, run in live:
             n = run.step(slice_events)

@@ -17,22 +17,24 @@ the same JSON round trip).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..directgraph import builder as _builder
 from ..directgraph import imagecache as _imagecache
-from ..cache.page import CacheConfig
 from ..directgraph.imagecache import ImageCache
-from ..platforms.background import BackgroundIoConfig
+from ..directgraph.layout import DEFAULT_LAYOUT
 from ..platforms.features import PlatformFeatures
 from ..platforms.registry import platform_by_name
 from ..platforms.result import RunResult
-from ..directgraph.layout import DEFAULT_LAYOUT
-from ..platforms.runner import DEFAULT_SCALED_NODES, PreparedWorkload, run_platform
+from ..platforms.runner import (
+    DEFAULT_SCALED_NODES,
+    GridCell,
+    PlatformRun,
+    PreparedWorkload,
+)
 from ..rng import stream_seed
-from ..ssd.config import SSDConfig, ull_ssd
 from ..workloads.registry import workload_by_name
 from ..workloads.specs import WorkloadSpec
 from .cache import ResultCache, lookup, require_cache, stable_hash, store
@@ -50,75 +52,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One experiment: a platform on a workload under one configuration.
-
-    ``platform`` and ``workload`` accept registry names or resolved
-    objects; both hash identically in the cache key. ``seed=None`` asks
-    :func:`run_grid` to derive a deterministic per-cell seed from its
-    ``base_seed`` and the cell's content.
-    """
-
-    platform: Union[str, PlatformFeatures]
-    workload: Union[str, WorkloadSpec]
-    ssd_config: Optional[SSDConfig] = None
-    batch_size: int = 64
-    num_batches: int = 3
-    num_hops: int = 3
-    fanout: int = 3
-    hidden_dim: int = 128
-    seed: Optional[int] = None
-    scaled_nodes: int = DEFAULT_SCALED_NODES
-    pipeline_overlap: bool = True
-    sample_trace: bool = False
-    background_io: Optional[BackgroundIoConfig] = None
-    page_cache: Optional[CacheConfig] = None
-    # DirectGraph page layout (see repro.directgraph.layout.LAYOUTS);
-    # the default keeps pre-layout cache keys and image bytes.
-    layout: str = DEFAULT_LAYOUT
-    # Explicit per-batch target tuples (len == num_batches, may be
-    # ragged/empty); None keeps the seeded target picker. The scale-out
-    # router uses this to hand each device its owned slice of a batch.
-    targets: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-    def resolved_platform(self) -> PlatformFeatures:
-        if isinstance(self.platform, PlatformFeatures):
-            return self.platform
-        return platform_by_name(self.platform)
-
-    def resolved_workload(self) -> WorkloadSpec:
-        spec = self.workload
-        if isinstance(spec, str):
-            spec = workload_by_name(spec)
-        # mirror run_platform's scaling rule
-        if spec.num_nodes > self.scaled_nodes:
-            spec = spec.scaled(self.scaled_nodes)
-        return spec
-
-    def resolved_config(self) -> SSDConfig:
-        return self.ssd_config or ull_ssd()
-
-    def run_params(self, seed: int) -> Dict:
-        # Optional fields join only when set, so cells that predate them
-        # keep their cache keys (and traced scale-out shards never collide
-        # with an equal untraced run).
-        return {
-            "batch_size": self.batch_size,
-            "num_batches": self.num_batches,
-            "num_hops": self.num_hops,
-            "fanout": self.fanout,
-            "hidden_dim": self.hidden_dim,
-            "seed": seed,
-            "pipeline_overlap": self.pipeline_overlap,
-            **non_default(
-                sample_trace=(self.sample_trace, False),
-                background_io=(self.background_io, None),
-                page_cache=(self.page_cache, None),
-                layout=(self.layout, DEFAULT_LAYOUT),
-                targets=(self.targets, None),
-            ),
-        }
+def run_params(cell: GridCell, seed: int) -> Dict:
+    """The run knobs of ``cell``'s key identity, at effective ``seed``."""
+    # Optional fields join only when set, so cells that predate them
+    # keep their cache keys (and traced scale-out shards never collide
+    # with an equal untraced run).
+    return {
+        "batch_size": cell.batch_size,
+        "num_batches": cell.num_batches,
+        "num_hops": cell.num_hops,
+        "fanout": cell.fanout,
+        "hidden_dim": cell.hidden_dim,
+        "seed": seed,
+        "pipeline_overlap": cell.pipeline_overlap,
+        **non_default(
+            sample_trace=(cell.sample_trace, False),
+            background_io=(cell.background_io, None),
+            page_cache=(cell.page_cache, None),
+            layout=(cell.layout, DEFAULT_LAYOUT),
+            targets=(cell.targets, None),
+        ),
+    }
 
 
 def _cell_identity(cell: GridCell) -> Dict:
@@ -127,7 +81,7 @@ def _cell_identity(cell: GridCell) -> Dict:
         "platform": cell.resolved_platform(),
         "workload": cell.resolved_workload(),
         "ssd_config": cell.resolved_config(),
-        "run": cell.run_params(seed=0) | {"seed": None},
+        "run": run_params(cell, seed=0) | {"seed": None},
     }
 
 
@@ -217,49 +171,41 @@ def adopt_prepared(prepared: PreparedWorkload) -> None:
         _PREPARED_MEMO.popitem(last=False)
 
 
-def resolve_inputs(
+def base_cell(
     platform: Union[str, PlatformFeatures],
     workload: Union[str, WorkloadSpec, PreparedWorkload],
-    ssd_config: Optional[SSDConfig] = None,
     scaled_nodes: Optional[int] = None,
-    *,
-    scale: bool = True,
-) -> Tuple[PlatformFeatures, SSDConfig, WorkloadSpec, int, Optional[PreparedWorkload]]:
-    """Resolve a whole-document entry point's inputs.
+    **fields,
+) -> Tuple[GridCell, Optional[PreparedWorkload]]:
+    """A whole-document entry point's base cell, and its prepared image.
 
-    Returns ``(features, config, spec, scaled_nodes, prepared)``. A
+    Every cell the entry point runs is derived from the base cell with
+    ``dataclasses.replace``. The cell holds the resolved platform and the
+    unscaled spec; ``cell.resolved_workload()`` is the spec it runs. A
     :class:`PreparedWorkload` is adopted into the prepared-image memo and
-    keeps its own spec (``scaled_nodes`` defaults to its node count). A
+    keeps its own spec (``scaled_nodes`` defaults to its node count); a
     registry name or spec gets ``scaled_nodes`` (default
-    :data:`DEFAULT_SCALED_NODES`) and, with ``scale``, is scaled down to
-    it the way :func:`run_platform` would.
+    :data:`DEFAULT_SCALED_NODES`).
     """
+    prepared = workload if isinstance(workload, PreparedWorkload) else None
+    if prepared is not None:
+        adopt_prepared(prepared)
+        workload = prepared.spec
+    elif isinstance(workload, str):
+        workload = workload_by_name(workload)
+    if scaled_nodes is None:
+        scaled_nodes = workload.num_nodes if prepared else DEFAULT_SCALED_NODES
     if not isinstance(platform, PlatformFeatures):
         platform = platform_by_name(platform)
-    config = ssd_config or ull_ssd()
-    if isinstance(workload, PreparedWorkload):
-        adopt_prepared(workload)
-        spec = workload.spec
-        nodes = spec.num_nodes if scaled_nodes is None else scaled_nodes
-        return platform, config, spec, nodes, workload
-    spec = workload_by_name(workload) if isinstance(workload, str) else workload
-    nodes = DEFAULT_SCALED_NODES if scaled_nodes is None else scaled_nodes
-    if scale and spec.num_nodes > nodes:
-        spec = spec.scaled(nodes)
-    return platform, config, spec, nodes, None
+    return GridCell(platform, workload, scaled_nodes=scaled_nodes, **fields), prepared
 
 
 def prepared_image(
-    spec: WorkloadSpec,
-    config: SSDConfig,
-    image_cache,
-    cache: Optional[ResultCache],
-    layout: str = DEFAULT_LAYOUT,
+    cell: GridCell, image_cache, cache: Optional[ResultCache]
 ) -> PreparedWorkload:
-    """The memoized prepared image of ``spec``, under the image-cache knob."""
+    """The memoized prepared image of ``cell``, under the image-cache knob."""
     icache = _resolve_image_cache(image_cache, cache)
-    root = str(icache.root) if icache is not None else None
-    return _prepared_for(spec, config.flash.page_size, root, layout)
+    return prepared_for(cell, str(icache.root) if icache is not None else None)
 
 
 def _prepared_for(
@@ -278,29 +224,31 @@ def _prepared_for(
     prepared = PreparedWorkload.prepare(
         spec, page_size=page_size, image_cache=image_cache_root, layout=layout
     )
-    _PREPARED_MEMO[key] = prepared
-    while len(_PREPARED_MEMO) > _PREPARED_MEMO_MAX:
-        _PREPARED_MEMO.popitem(last=False)
+    adopt_prepared(prepared)
     return prepared
+
+
+def prepared_for(
+    cell: GridCell, image_cache_root: Optional[str] = None
+) -> PreparedWorkload:
+    """The memoized prepared image ``cell`` runs on."""
+    page_size = cell.resolved_config().flash.page_size
+    return _prepared_for(cell.resolved_workload(), page_size, image_cache_root, cell.layout)
+
+
+def start_cell(job: Tuple[GridCell, int, Optional[str]]) -> PlatformRun:
+    """Launch one ``(cell, seed, image_cache_root)`` job's simulation.
+
+    The one start path of every executor: per-cell workers run it to
+    completion, the batched executor steps it cooperatively.
+    """
+    cell, seed, image_cache_root = job
+    return PlatformRun(cell, seed, prepared_for(cell, image_cache_root))
 
 
 def _execute_cell(job: Tuple[GridCell, int, Optional[str]]) -> Dict:
     """Worker entry point: simulate one cell, return its payload dict."""
-    cell, seed, image_cache_root = job
-    config = cell.resolved_config()
-    prepared = _prepared_for(
-        cell.resolved_workload(),
-        config.flash.page_size,
-        image_cache_root,
-        cell.layout,
-    )
-    result = run_platform(
-        cell.resolved_platform(),
-        prepared,
-        ssd_config=config,
-        **cell.run_params(seed),
-    )
-    return result_to_payload(result)
+    return result_to_payload(start_cell(job).run())
 
 
 @dataclass
@@ -406,18 +354,11 @@ def run_grid(
     builds_before = _builder.BUILD_COUNTER.count
     image_hits_before = _imagecache.COUNTERS.hits
 
-    if pending:
-        # Pre-warm each distinct prepared image once in this process:
-        # fork workers inherit the memo, and the disk cache (when set)
-        # covers spawn workers and future runs.
-        seen: set = set()
-        for i in pending:
-            cell = cells[i]
-            spec = cell.resolved_workload()
-            page_size = cell.resolved_config().flash.page_size
-            if (spec, page_size, cell.layout) not in seen:
-                seen.add((spec, page_size, cell.layout))
-                _prepared_for(spec, page_size, icache_root, cell.layout)
+    # Pre-warm each distinct prepared image once in this process: fork
+    # workers inherit the memo, and the disk cache (when set) covers
+    # spawn workers and future runs.
+    for i in pending:
+        prepared_for(cells[i], icache_root)
 
     jobs_args = [(cells[i], seeds[i], icache_root) for i in pending]
     fresh = (

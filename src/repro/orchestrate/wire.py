@@ -7,7 +7,7 @@ expose on a port, and version-checkable — a worker from a different code
 version refuses work instead of producing subtly different payloads.
 
 Cells are encoded with a tagged dataclass codec: every config dataclass
-a :class:`~repro.orchestrate.grid.GridCell` can carry (SSD configs,
+a :class:`~repro.platforms.runner.GridCell` can carry (SSD configs,
 platform features, workload specs, cache/background-IO configs) is
 reduced to ``{"__dc__": <registered name>, "fields": {...}}`` and
 rebuilt by type on the far side. Reconstruction runs the dataclasses'
@@ -148,7 +148,7 @@ def _wire_dataclasses() -> Dict[str, Type]:
         SSDConfig,
     )
     from ..workloads.specs import WorkloadSpec
-    from .grid import GridCell
+    from ..platforms.runner import GridCell
 
     types = (
         GridCell,

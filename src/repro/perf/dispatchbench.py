@@ -46,7 +46,7 @@ def run_dispatch_suite(
     """Run the executor-dispatch suite; returns a schema-tagged report."""
     from ..orchestrate.batched import available_cpus
     from ..orchestrate.executors import ProcessExecutor, SerialExecutor
-    from ..orchestrate.grid import _prepared_for
+    from ..orchestrate.grid import prepared_for
     from ..orchestrate.remote import RemoteExecutor
     from .gridbench import grid_suite_cells
 
@@ -58,8 +58,7 @@ def run_dispatch_suite(
 
     # Pre-warm the shared image (untimed) so every backend starts from
     # the same warm memo and only dispatch strategy differs.
-    config = cells[0].resolved_config()
-    _prepared_for(cells[0].resolved_workload(), config.flash.page_size, None)
+    prepared_for(cells[0])
     jobs_args = [(cell, cell.seed, None) for cell in cells]
 
     def best_of(fn) -> float:

@@ -82,7 +82,7 @@ def run_grid_suite(
     """Run the grid-dispatch suite; returns a schema-tagged report."""
     from ..orchestrate import execute_batch, run_grid
     from ..orchestrate.batched import available_cpus
-    from ..orchestrate.grid import _prepared_for
+    from ..orchestrate.grid import prepared_for
 
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
@@ -92,8 +92,7 @@ def run_grid_suite(
 
     # Pre-warm the shared image (untimed): every timed path starts from
     # the same warm memo, so only dispatch strategy differs.
-    config = cells[0].resolved_config()
-    _prepared_for(cells[0].resolved_workload(), config.flash.page_size, None)
+    prepared_for(cells[0])
     seeds = [cell.seed for cell in cells]
     jobs_args = [(cell, seed, None) for cell, seed in zip(cells, seeds)]
 

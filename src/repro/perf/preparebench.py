@@ -83,15 +83,13 @@ def run_prepare_suite(
     from ..directgraph import FormatSpec
     from ..directgraph.address import AddressCodec
     from ..directgraph.imagecache import ImageCache
-    from ..platforms.runner import PreparedWorkload
+    from ..platforms.runner import PreparedWorkload, scaled_spec
     from ..workloads import workload_by_name
 
     if nodes < 2:
         raise ValueError("nodes must be at least 2")
     build = _builder_for(impl)
-    spec = workload_by_name(workload)
-    if spec.num_nodes > nodes:
-        spec = spec.scaled(nodes)
+    spec = scaled_spec(workload_by_name(workload), nodes)
 
     def fmt() -> FormatSpec:
         return FormatSpec(

@@ -16,9 +16,9 @@ from .registry import (
 from .result import BatchTiming, RunResult
 from .runner import (
     DEFAULT_SCALED_NODES,
+    GridCell,
     PlatformRun,
     PreparedWorkload,
-    run_grid,
     run_platform,
 )
 from .scaleout import (
@@ -50,7 +50,7 @@ __all__ = [
     "BatchTiming",
     "run_platform",
     "PlatformRun",
-    "run_grid",
+    "GridCell",
     "PreparedWorkload",
     "DEFAULT_SCALED_NODES",
     "run_scaleout",

@@ -9,7 +9,7 @@ computation, no cross-batch pipelining) for any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
 from ..quantile import mean, percentile
@@ -74,28 +74,15 @@ def measure_query_latency(
     ``jobs`` all apply. ``require_cached=True`` raises ``KeyError`` on
     any miss instead of simulating (the warm-cache figure path).
     """
-    from ..orchestrate.grid import GridCell, resolve_inputs, run_or_load
+    from ..orchestrate.grid import base_cell, run_or_load
 
     if num_queries < 1:
         raise ValueError("need at least one query")
-    # GridCell.resolved_workload applies run_platform's scaling rule
-    _features, _config, spec, scaled_nodes, _prepared = resolve_inputs(
-        platform, workload, scale=False
+    base, _prepared = base_cell(
+        platform, workload, ssd_config=ssd_config, batch_size=batch_size,
+        num_batches=1, num_hops=num_hops, fanout=fanout,
     )
-    cells = [
-        GridCell(
-            platform=platform,
-            workload=spec,
-            ssd_config=ssd_config,
-            batch_size=batch_size,
-            num_batches=1,
-            num_hops=num_hops,
-            fanout=fanout,
-            seed=seed + q,
-            scaled_nodes=scaled_nodes,
-        )
-        for q in range(num_queries)
-    ]
+    cells = [replace(base, seed=seed + q) for q in range(num_queries)]
     grid = run_or_load(
         cells, cache, require_cached, jobs=jobs, image_cache=image_cache, chunk=chunk
     )

@@ -1,8 +1,10 @@
 """Public entry point: run one platform on one workload, collect results.
 
-``run_platform("bg2", workload)`` builds the scaled graph + DirectGraph
-image, wires up the device and engines, simulates N pipelined
-mini-batches, and returns a fully-instrumented :class:`RunResult`.
+A :class:`GridCell` describes one run. :class:`PlatformRun` builds the
+scaled graph + DirectGraph image, wires up the device and engines, and
+simulates the cell's pipelined mini-batches into a fully-instrumented
+:class:`RunResult`; ``run_platform("bg2", workload, **fields)`` is the
+keyword form of the same.
 
 Building the image is the expensive part, so :class:`PreparedWorkload`
 lets benchmark harnesses build once and run all nine platforms on the
@@ -13,7 +15,7 @@ identical subgraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -22,30 +24,37 @@ from ..directgraph.address import AddressCodec
 from ..directgraph.builder import DirectGraphImage, build_directgraph
 from ..directgraph.layout import DEFAULT_LAYOUT, LAYOUTS, layout_order
 from ..directgraph.spec import FormatSpec
-from ..energy.coefficients import EnergyCoefficients
 from ..energy.model import attribute_energy
 from ..gnn.features import ProceduralFeatureTable
 from ..gnn.graph import Graph
 from ..isc.commands import GnnTaskConfig
 from ..sim import Simulator
 from ..ssd.config import SSDConfig, ull_ssd
+from ..workloads.registry import workload_by_name
 from ..workloads.specs import WorkloadSpec
+from .background import BackgroundIoConfig, BackgroundIoInjector
 from .compute import ComputeEngine
 from .datapath import DataPrepEngine
-from .features import ComputeSite, PlatformFeatures
+from .features import PlatformFeatures
 from .pipeline import PipelineRunner
 from .registry import platform_by_name
 from .result import RunResult
 
 __all__ = [
+    "GridCell",
     "PreparedWorkload",
     "PlatformRun",
     "run_platform",
-    "run_grid",
+    "scaled_spec",
     "DEFAULT_SCALED_NODES",
 ]
 
 DEFAULT_SCALED_NODES = 4096
+
+
+def scaled_spec(spec: WorkloadSpec, scaled_nodes: int) -> WorkloadSpec:
+    """``spec`` scaled down to ``scaled_nodes``; a smaller spec is kept as is."""
+    return spec if spec.num_nodes <= scaled_nodes else spec.scaled(scaled_nodes)
 
 
 @dataclass
@@ -117,6 +126,19 @@ class PreparedWorkload:
             spec=spec, graph=graph, features=features, image=image, layout=layout
         )
 
+    def check_compatible(self, page_size: int, layout: str) -> None:
+        """Raise ``ValueError`` unless this image fits a run's page size and layout."""
+        if self.image.spec.page_size != page_size:
+            raise ValueError(
+                f"prepared image page size {self.image.spec.page_size} "
+                f"differs from SSD page size {page_size}"
+            )
+        if self.layout != layout:
+            raise ValueError(
+                f"prepared workload uses layout {self.layout!r}, "
+                f"requested {layout!r}"
+            )
+
 
 def _pick_targets(
     graph: Graph, batch_size: int, num_batches: int, seed: int
@@ -135,12 +157,88 @@ def _pick_targets(
     ]
 
 
+@dataclass(frozen=True)
+class GridCell:
+    """One run: a platform on a workload under one configuration.
+
+    The single description of a simulation, from the CLI and every
+    study down to :class:`PlatformRun`. ``platform`` and ``workload``
+    accept registry names or resolved objects; both hash identically in
+    the cache key (:func:`repro.orchestrate.cell_cache_key`). A workload
+    larger than ``scaled_nodes`` is scaled down to it
+    (:func:`scaled_spec`). ``seed=None`` asks
+    :func:`~repro.orchestrate.run_grid` to derive a deterministic
+    per-cell seed from its ``base_seed`` and the cell's content.
+
+    ``sample_trace=True`` records every sampled tree position per batch
+    on ``result.sample_trace``; the scale-out array model uses it to
+    measure cross-partition traffic. Tracing never changes simulated
+    timing. ``page_cache`` puts a host-side page cache in front of the
+    flash backend; ``None`` — or a capacity rounding to zero pages —
+    leaves the run bit-identical to an uncached one. ``layout`` selects
+    the DirectGraph page layout, which changes only which flash pages a
+    walk touches, never the sampled subgraphs.
+
+    Construction validates the run sizes: every count must be at least
+    one, and explicit ``targets`` need one batch per ``num_batches``.
+    """
+
+    platform: Union[str, PlatformFeatures]
+    workload: Union[str, WorkloadSpec]
+    ssd_config: Optional[SSDConfig] = None
+    batch_size: int = 64
+    num_batches: int = 3
+    num_hops: int = 3
+    fanout: int = 3
+    hidden_dim: int = 128
+    seed: Optional[int] = None
+    scaled_nodes: int = DEFAULT_SCALED_NODES
+    pipeline_overlap: bool = True
+    sample_trace: bool = False
+    background_io: Optional[BackgroundIoConfig] = None
+    page_cache: Optional[CacheConfig] = None
+    # DirectGraph page layout (see repro.directgraph.layout.LAYOUTS);
+    # the default keeps pre-layout cache keys and image bytes.
+    layout: str = DEFAULT_LAYOUT
+    # Explicit per-batch target tuples (len == num_batches, may be
+    # ragged/empty); None keeps the seeded target picker. The scale-out
+    # router uses this to hand each device its owned slice of a batch.
+    # The result then reports served_targets.
+    targets: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "num_batches", "num_hops", "fanout", "scaled_nodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.targets is not None and len(self.targets) != self.num_batches:
+            raise ValueError(
+                f"explicit targets have {len(self.targets)} batches, "
+                f"expected num_batches={self.num_batches}"
+            )
+
+    def resolved_platform(self) -> PlatformFeatures:
+        if isinstance(self.platform, PlatformFeatures):
+            return self.platform
+        return platform_by_name(self.platform)
+
+    def resolved_workload(self) -> WorkloadSpec:
+        spec = self.workload
+        if isinstance(spec, str):
+            spec = workload_by_name(spec)
+        return scaled_spec(spec, self.scaled_nodes)
+
+    def resolved_config(self) -> SSDConfig:
+        return self.ssd_config or ull_ssd()
+
+
 class PlatformRun:
     """One platform simulation, set up eagerly and steppable cooperatively.
 
     Construction does everything up to (but not including) driving the
-    event loop: workload preparation, device/engine wiring, batch target
-    selection, and pipeline launch. From there the owner either calls
+    event loop: workload preparation (unless ``prepared`` is given),
+    device/engine wiring, batch target selection, and pipeline launch.
+    Every knob comes from ``cell``; ``seed`` is the effective seed (the
+    cell's own may be unset). From there the owner either calls
     :meth:`run` (the blocking form — exactly what :func:`run_platform`
     does) or interleaves :meth:`step` slices with other live
     ``PlatformRun`` instances and calls :meth:`finalize` once
@@ -151,54 +249,21 @@ class PlatformRun:
     """
 
     def __init__(
-        self,
-        platform: Union[str, PlatformFeatures],
-        workload: Union[WorkloadSpec, PreparedWorkload],
-        *,
-        ssd_config: Optional[SSDConfig] = None,
-        batch_size: int = 64,
-        num_batches: int = 3,
-        num_hops: int = 3,
-        fanout: int = 3,
-        hidden_dim: int = 128,
-        seed: int = 0,
-        scaled_nodes: int = DEFAULT_SCALED_NODES,
-        energy_coefficients: Optional[EnergyCoefficients] = None,
-        pipeline_overlap: bool = True,
-        background_io: Optional["BackgroundIoConfig"] = None,
-        sample_trace: bool = False,
-        page_cache: Optional[CacheConfig] = None,
-        layout: str = DEFAULT_LAYOUT,
-        targets: Optional[Sequence[Sequence[int]]] = None,
+        self, cell: GridCell, seed: int, prepared: Optional[PreparedWorkload] = None
     ):
-        if isinstance(platform, str):
-            platform = platform_by_name(platform)
-        config = ssd_config or ull_ssd()
-        if isinstance(workload, WorkloadSpec):
-            spec = (
-                workload
-                if workload.num_nodes <= scaled_nodes
-                else workload.scaled(scaled_nodes)
-            )
+        platform = cell.resolved_platform()
+        config = cell.resolved_config()
+        page_size = config.flash.page_size
+        if prepared is None:
             prepared = PreparedWorkload.prepare(
-                spec, page_size=config.flash.page_size, layout=layout
+                cell.resolved_workload(), page_size=page_size, layout=cell.layout
             )
         else:
-            prepared = workload
-            if prepared.image.spec.page_size != config.flash.page_size:
-                raise ValueError(
-                    f"prepared image page size {prepared.image.spec.page_size} "
-                    f"differs from SSD page size {config.flash.page_size}"
-                )
-            if prepared.layout != layout:
-                raise ValueError(
-                    f"prepared workload uses layout {prepared.layout!r}, "
-                    f"run requested {layout!r}"
-                )
+            prepared.check_compatible(page_size, cell.layout)
 
         task = GnnTaskConfig(
-            num_hops=num_hops,
-            fanout=fanout,
+            num_hops=cell.num_hops,
+            fanout=cell.fanout,
             feature_dim=prepared.spec.feature_dim,
             seed=seed,
         )
@@ -209,29 +274,22 @@ class PlatformRun:
             platform,
             prepared.image,
             task,
-            trace_samples=sample_trace,
-            page_cache=PageCache.from_config(page_cache, config.flash.page_size),
+            trace_samples=cell.sample_trace,
+            page_cache=PageCache.from_config(cell.page_cache, page_size),
         )
         compute = ComputeEngine(
-            sim, prep.device, platform, task, hidden_dim, prep.meters
+            sim, prep.device, platform, task, cell.hidden_dim, prep.meters
         )
-        runner = PipelineRunner(sim, prep, compute, overlap=pipeline_overlap)
+        runner = PipelineRunner(sim, prep, compute, overlap=cell.pipeline_overlap)
         injector = None
-        if background_io is not None:
-            from .background import BackgroundIoInjector
-
-            injector = BackgroundIoInjector(sim, prep, background_io)
-        if targets is not None:
-            if len(targets) != num_batches:
-                raise ValueError(
-                    f"explicit targets have {len(targets)} batches, "
-                    f"expected num_batches={num_batches}"
-                )
-            batches = [[int(t) for t in batch] for batch in targets]
+        if cell.background_io is not None:
+            injector = BackgroundIoInjector(sim, prep, cell.background_io)
+        if cell.targets is not None:
+            batches = [[int(t) for t in batch] for batch in cell.targets]
             served = sum(len(batch) for batch in batches)
         else:
             batches = _pick_targets(
-                prepared.graph, batch_size, num_batches, seed + 1
+                prepared.graph, cell.batch_size, cell.num_batches, seed + 1
             )
             served = None
         done = runner.run(batches)
@@ -239,6 +297,7 @@ class PlatformRun:
             done.add_callback(lambda _ev: injector.stop())
 
         self.sim = sim
+        self.cell = cell
         self._platform = platform
         self._prepared = prepared
         self._config = config
@@ -246,10 +305,6 @@ class PlatformRun:
         self._runner = runner
         self._injector = injector
         self._done = done
-        self._batch_size = batch_size
-        self._num_batches = num_batches
-        self._energy_coefficients = energy_coefficients
-        self._sample_trace = sample_trace
         self._served_targets = served
         self._result: Optional[RunResult] = None
 
@@ -293,8 +348,8 @@ class PlatformRun:
         result = RunResult(
             platform=platform.name,
             workload=self._prepared.spec.name,
-            batch_size=self._batch_size,
-            num_batches=self._num_batches,
+            batch_size=self.cell.batch_size,
+            num_batches=self.cell.num_batches,
             total_seconds=total,
             batches=self._runner.timings,
             stage_agg=prep.stage_agg,
@@ -312,7 +367,6 @@ class PlatformRun:
             channel_bytes=prep.device.flash.channel_bytes,
             total_seconds=total,
             total_targets=result.total_targets,
-            coeff=self._energy_coefficients,
         )
         result.energy_breakdown = dict(report.categories)
         result.meters.totals["energy_total_j"] = report.total_joules
@@ -320,7 +374,7 @@ class PlatformRun:
         result.meters.totals["targets_per_joule"] = report.targets_per_joule
         if self._injector is not None:
             result.background_io = self._injector.stats
-        if self._sample_trace:
+        if self.cell.sample_trace:
             result.sample_trace = prep.sample_traces
         if prep.page_cache is not None:
             pc = prep.page_cache
@@ -334,82 +388,16 @@ class PlatformRun:
 
 def run_platform(
     platform: Union[str, PlatformFeatures],
-    workload: Union[WorkloadSpec, PreparedWorkload],
-    *,
-    ssd_config: Optional[SSDConfig] = None,
-    batch_size: int = 64,
-    num_batches: int = 3,
-    num_hops: int = 3,
-    fanout: int = 3,
-    hidden_dim: int = 128,
-    seed: int = 0,
-    scaled_nodes: int = DEFAULT_SCALED_NODES,
-    energy_coefficients: Optional[EnergyCoefficients] = None,
-    pipeline_overlap: bool = True,
-    background_io: Optional["BackgroundIoConfig"] = None,
-    sample_trace: bool = False,
-    page_cache: Optional[CacheConfig] = None,
-    layout: str = DEFAULT_LAYOUT,
-    targets: Optional[Sequence[Sequence[int]]] = None,
+    workload: Union[str, WorkloadSpec, PreparedWorkload],
+    **fields,
 ) -> RunResult:
-    """Simulate ``num_batches`` pipelined mini-batches on one platform.
+    """Simulate one :class:`GridCell` given as keywords (``seed`` defaults to 0).
 
-    ``workload`` may be a raw :class:`WorkloadSpec` (it is scaled to
-    ``scaled_nodes`` and instantiated) or an already-:class:`PreparedWorkload`.
-
-    ``sample_trace=True`` additionally records every sampled tree position
-    per batch on ``result.sample_trace`` (see
-    :class:`~repro.platforms.datapath.DataPrepEngine`); the scale-out
-    array model uses it to measure cross-partition traffic. Tracing never
-    changes simulated timing.
-
-    ``page_cache`` (a :class:`~repro.cache.page.CacheConfig`) puts a
-    host-side page cache in front of the flash backend; hits cost one
-    DRAM-latency charge instead of the full device walk, and the result
-    gains a ``cache`` counter block. ``None`` — or a capacity rounding to
-    zero pages — leaves the run bit-identical to an uncached one.
-
-    ``layout`` selects the DirectGraph page layout
-    (:data:`~repro.directgraph.layout.LAYOUTS`); a prepared workload must
-    already carry the requested layout. Layouts never change which
-    subgraphs are sampled — only which flash pages the walk touches.
-
-    ``targets`` overrides the seeded target picker with explicit
-    per-batch target lists (one list per batch, ``len(targets)`` must
-    equal ``num_batches``; batches may be ragged or empty). The result
-    then reports ``served_targets`` so throughput and energy-per-target
-    reflect the real count. The scale-out array model uses this to route
-    each device its owned slice of every batch.
-
-    The blocking convenience form of :class:`PlatformRun`.
+    ``workload`` may be a registry name or :class:`WorkloadSpec` (scaled
+    to ``scaled_nodes`` and instantiated) or a :class:`PreparedWorkload`,
+    used as-is. The blocking convenience form of :class:`PlatformRun`.
     """
-    return PlatformRun(
-        platform,
-        workload,
-        ssd_config=ssd_config,
-        batch_size=batch_size,
-        num_batches=num_batches,
-        num_hops=num_hops,
-        fanout=fanout,
-        hidden_dim=hidden_dim,
-        seed=seed,
-        scaled_nodes=scaled_nodes,
-        energy_coefficients=energy_coefficients,
-        pipeline_overlap=pipeline_overlap,
-        background_io=background_io,
-        sample_trace=sample_trace,
-        page_cache=page_cache,
-        layout=layout,
-        targets=targets,
-    ).run()
-
-
-def run_grid(cells, **kwargs):
-    """Fan a grid of cells across worker processes with result caching.
-
-    Thin forwarding entry point; see :func:`repro.orchestrate.run_grid`
-    (imported lazily — orchestrate builds on this module).
-    """
-    from ..orchestrate import run_grid as _run_grid
-
-    return _run_grid(cells, **kwargs)
+    fields.setdefault("seed", 0)
+    prepared = workload if isinstance(workload, PreparedWorkload) else None
+    cell = GridCell(platform, prepared.spec if prepared else workload, **fields)
+    return PlatformRun(cell, cell.seed, prepared).run()

@@ -347,12 +347,10 @@ def scaleout_outcome(
     from ..directgraph import builder as _builder
     from ..directgraph import imagecache as _imagecache
     from ..orchestrate.cache import cached
-    from ..orchestrate.grid import GridCell, prepared_image, resolve_inputs, run_grid
+    from ..orchestrate.grid import base_cell, prepared_image, run_grid
 
     if num_devices < 1:
         raise ValueError("need at least one device")
-    if num_batches < 1:
-        raise ValueError("need at least one batch")
     if partitioner not in PARTITIONERS:
         raise ValueError(
             f"unknown partitioner {partitioner!r}; available: "
@@ -373,20 +371,17 @@ def scaleout_outcome(
     ):
         raise ValueError("cross_partition_fraction must be in [0, 1]")
     link = link or P2pLink()
-    features, config, spec, _nodes, prepared = resolve_inputs(
-        platform, workload, ssd_config
+    # Every shard is this cell with its own batch slice, seed and targets.
+    base, prepared = base_cell(
+        platform, workload, ssd_config=ssd_config, batch_size=batch_size,
+        num_batches=num_batches, num_hops=num_hops, fanout=fanout, seed=seed,
+        sample_trace=True, layout=layout,
+    )
+    features, config, spec = (
+        base.resolved_platform(), base.resolved_config(), base.resolved_workload()
     )
     if prepared is not None:
-        if prepared.image.spec.page_size != config.flash.page_size:
-            raise ValueError(
-                f"prepared image page size {prepared.image.spec.page_size} "
-                f"differs from SSD page size {config.flash.page_size}"
-            )
-        if prepared.layout != layout:
-            raise ValueError(
-                f"prepared workload uses layout {prepared.layout!r}, "
-                f"array requested {layout!r}"
-            )
+        prepared.check_compatible(config.flash.page_size, layout)
 
     key = scaleout_cache_key(
         num_devices,
@@ -419,7 +414,7 @@ def scaleout_outcome(
             # Locality-aware ownership needs the graph up front (and the
             # routed target draws need the ownership); the prepared image
             # sits in the grid memo so shards never rebuild it.
-            image = prepared or prepared_image(spec, config, image_cache, cache, layout)
+            image = prepared or prepared_image(base, image_cache, cache)
             owner = partition_nodes(
                 spec.num_nodes, num_devices, seed,
                 partitioner=partitioner, graph=image.graph,
@@ -430,18 +425,10 @@ def scaleout_outcome(
 
         sizes = shard_batch_sizes(batch_size, num_devices)
         cells = [
-            GridCell(
-                platform=features,
-                workload=spec,
-                ssd_config=ssd_config,
+            replace(
+                base,
                 batch_size=sizes[s],
-                num_batches=num_batches,
-                num_hops=num_hops,
-                fanout=fanout,
                 seed=derive_shard_seed(seed, s),
-                scaled_nodes=spec.num_nodes,
-                sample_trace=True,
-                layout=layout,
                 targets=routed[s] if routed is not None else None,
             )
             for s in range(num_devices)
@@ -540,46 +527,12 @@ def run_scaleout(
     num_devices: int,
     platform: Union[str, PlatformFeatures],
     workload: Union[str, WorkloadSpec, PreparedWorkload],
-    *,
-    batch_size: int = 64,
-    num_batches: int = 2,
-    num_hops: int = 3,
-    fanout: int = 3,
-    cross_partition_fraction: Optional[float] = None,
-    link: Optional[P2pLink] = None,
-    ssd_config: Optional[SSDConfig] = None,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-    cache=None,
-    image_cache=None,
-    chunk: Optional[int] = None,
-    executor=None,
-    partitioner: str = DEFAULT_PARTITIONER,
-    layout: str = DEFAULT_LAYOUT,
+    **kwargs,
 ) -> ScaleOutResult:
     """Simulate an N-device BeaconGNN array on one workload.
 
-    Thin wrapper over :func:`scaleout_outcome` returning just the
-    :class:`ScaleOutResult`; see there for the sharding, partitioner,
-    layout, exchange, and caching semantics.
+    Thin wrapper over :func:`scaleout_outcome` (same keywords) returning
+    just the :class:`ScaleOutResult`; see there for the sharding,
+    partitioner, layout, exchange, and caching semantics.
     """
-    return scaleout_outcome(
-        num_devices,
-        platform,
-        workload,
-        batch_size=batch_size,
-        num_batches=num_batches,
-        num_hops=num_hops,
-        fanout=fanout,
-        cross_partition_fraction=cross_partition_fraction,
-        link=link,
-        ssd_config=ssd_config,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-        image_cache=image_cache,
-        chunk=chunk,
-        executor=executor,
-        partitioner=partitioner,
-        layout=layout,
-    ).result
+    return scaleout_outcome(num_devices, platform, workload, **kwargs).result

@@ -15,7 +15,7 @@ the open-loop complement — the DL-service-on-large-graphs setting:
 * up to ``max_live`` batches are in service concurrently (device
   replicas / execution slots);
 * each dispatched batch's *service time* is a full BeaconGNN platform
-  simulation — the same :class:`~repro.orchestrate.grid.GridCell` per-
+  simulation — the same :class:`~repro.platforms.runner.GridCell` per-
   query runs the closed-loop harness uses, fanned through
   :func:`~repro.orchestrate.run_grid` (so the cooperative batched
   executor interleaves many live :class:`~repro.platforms.runner.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from ..cache.page import CacheConfig
@@ -354,12 +354,12 @@ def serve(
     than simulate.
 
     ``page_cache`` puts a host-side page cache in each batch's datapath
-    (see :func:`repro.platforms.runner.run_platform`): the cache is warm
+    (see :class:`repro.platforms.runner.GridCell`): the cache is warm
     per batch simulation, so service times — and with them the
     latency–throughput knee — shift accordingly.
     """
     from ..orchestrate.cache import cached
-    from ..orchestrate.grid import GridCell, resolve_inputs
+    from ..orchestrate.grid import base_cell
 
     if num_queries < 1:
         raise ValueError("need at least one query")
@@ -374,15 +374,18 @@ def serve(
     if max_live < 1:
         raise ValueError("max_live must be >= 1")
 
-    # mirror measure_query_latency: a registry spec is keyed unscaled
-    features, config, spec, scaled_nodes, _prepared = resolve_inputs(
-        platform, workload, ssd_config, scale=False
+    # Every batch is this cell with its own size and first-query seed.
+    base, _prepared = base_cell(
+        platform, workload, ssd_config=ssd_config, num_batches=1,
+        num_hops=num_hops, fanout=fanout, page_cache=page_cache,
     )
+    # mirror measure_query_latency: a registry spec is keyed unscaled
+    features, spec = base.platform, base.workload
     arrival_doc = arrival.to_dict()
     key = serving_cache_key(
         features,
         spec,
-        config,
+        base.resolved_config(),
         arrival_doc,
         num_queries=num_queries,
         query_batch_size=query_batch_size,
@@ -392,7 +395,7 @@ def serve(
         max_live=max_live,
         num_hops=num_hops,
         fanout=fanout,
-        scaled_nodes=scaled_nodes,
+        scaled_nodes=base.scaled_nodes,
         seed=seed,
         page_cache=page_cache,
     )
@@ -412,18 +415,9 @@ def serve(
             executor=executor,
         )
 
-    def query_cell(first_query: int, n_queries: int) -> GridCell:
-        return GridCell(
-            platform=features,
-            workload=spec,
-            ssd_config=ssd_config,
-            batch_size=n_queries * query_batch_size,
-            num_batches=1,
-            num_hops=num_hops,
-            fanout=fanout,
-            seed=seed + first_query,
-            scaled_nodes=scaled_nodes,
-            page_cache=page_cache,
+    def query_cell(first_query: int, n_queries: int):
+        return replace(
+            base, batch_size=n_queries * query_batch_size, seed=seed + first_query
         )
 
     def compute() -> Tuple[ServingResult, Dict]:

@@ -11,20 +11,26 @@ payload digests equal to classic per-cell serial dispatch, and
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.cache.page import CacheConfig
 from repro.orchestrate import (
     GridCell,
+    ResultCache,
     auto_chunk_size,
     available_cpus,
     execute_batch,
     run_grid,
 )
-from repro.orchestrate.cache import json_default
+from repro.orchestrate.cache import json_default, lookup
 from repro.orchestrate.grid import _execute_cell
 from repro.orchestrate.serialize import result_to_payload
+from repro.platforms import run_platform
+from repro.platforms.background import BackgroundIoConfig
+from repro.workloads import workload_by_name
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runresult_sha256.json"
 
@@ -36,6 +42,17 @@ TINY = dict(
     hidden_dim=32,
     scaled_nodes=256,
 )
+
+# Fields that join a cell's key only when set, each at a non-default value.
+VARIANTS = {
+    "plain": {},
+    "sample_trace": {"sample_trace": True},
+    "background_io": {"background_io": BackgroundIoConfig(rate_per_s=2e4, seed=1)},
+    "page_cache": {"page_cache": CacheConfig(capacity_mb=0.5, policy="lfu")},
+    "layout_locality": {"layout": "locality"},
+    "targets": {"targets": ((1, 2, 3),)},
+    "no_overlap": {"pipeline_overlap": False},
+}
 
 
 def _digest(payload) -> str:
@@ -59,12 +76,23 @@ def tiny_cells(n=6, seed0=0):
 
 
 class TestExecuteBatch:
-    def test_payloads_match_per_cell_execution(self):
-        cells = tiny_cells(4)
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_payloads_match_per_cell_execution(self, variant):
+        cells = [replace(cell, **VARIANTS[variant]) for cell in tiny_cells(4)]
         jobs_args = [(cell, cell.seed, None) for cell in cells]
         per_cell = [_digest(_execute_cell(job)) for job in jobs_args]
         batched = [_digest(p) for p in execute_batch(jobs_args)]
         assert batched == per_cell
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_run_platform_matches_run_grid(self, variant, tmp_path):
+        """The keyword API and a one-cell grid give the same payload bytes."""
+        fields = dict(TINY, seed=3, **VARIANTS[variant])
+        direct = run_platform("bg2", workload_by_name("ogbn"), **fields)
+        cache = ResultCache(tmp_path)
+        grid = run_grid([GridCell("bg2", "ogbn", **fields)], jobs=1, cache=cache)
+        stored = lookup(cache, "result", grid.keys[0])
+        assert _digest(result_to_payload(direct)) == _digest(stored)
 
     @pytest.mark.parametrize("max_live", [1, 2, 8])
     def test_max_live_does_not_change_results(self, max_live):

@@ -5,8 +5,9 @@ Every cached artifact kind is pinned against the corpus in
 ``tests/tools/capture_cache_keys.py`` after an intentional change): the
 key of each configuration, including every field that joins a key only
 when it is not at its default, and the sha256 of one stored document
-per kind. A drifted key turns every warm result cache cold; a drifted
-document breaks caches shared between versions of the code.
+per kind, and every cache file a cold run of each entry point writes. A
+drifted key turns every warm result cache cold; a drifted document
+breaks caches shared between versions of the code.
 """
 
 import json
@@ -47,3 +48,8 @@ def test_keys_within_a_kind_are_distinct():
 
 def test_stored_documents_are_byte_identical():
     assert corpus.document_digests() == GOLDEN["documents"]
+
+
+def test_entry_points_write_the_same_cache_files():
+    assert corpus.entry_point_files() == GOLDEN["files"]
+

@@ -257,7 +257,7 @@ class TestWireCodec:
             seed=7,
             ssd_config=ull_ssd(),
             targets=((1, 2, 3), (4, 5)),
-            **TINY,
+            **dict(TINY, num_batches=2),
         )
 
     def test_job_round_trip(self):

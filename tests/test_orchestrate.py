@@ -232,12 +232,6 @@ class TestRunGrid:
         assert run_grid([], jobs=0).results == []
         assert run_grid([], jobs=None).results == []
 
-    def test_platforms_run_grid_entry_point(self):
-        from repro.platforms import run_grid as platform_run_grid
-
-        outcome = platform_run_grid(tiny_cells(platforms=("bg2",)), jobs=1)
-        assert outcome.results[0].platform == "bg2"
-
 
 class TestImageSharing:
     def test_repeated_grids_build_zero_images(self, tmp_path):

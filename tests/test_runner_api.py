@@ -140,3 +140,33 @@ class TestPlatformFeatureValidation:
                 features_cross_pcie=False,
                 structure_cross_pcie=False,
             )
+
+
+# case id -> (field the error must name, run fields)
+BAD_RUN_SIZES = {
+    "num_batches=0": ("num_batches", {"num_batches": 0}),
+    "batch_size=0": ("batch_size", {"batch_size": 0}),
+    "batch_size=-1": ("batch_size", {"batch_size": -1}),
+    "scaled_nodes=0": ("scaled_nodes", {"scaled_nodes": 0}),
+    "num_hops=0": ("num_hops", {"num_hops": 0}),
+    "fanout=0": ("fanout", {"fanout": 0}),
+    "targets_vs_num_batches": ("targets", {"num_batches": 2, "targets": ((1, 2),)}),
+}
+
+
+@pytest.mark.parametrize("entry", ["run_platform", "GridCell", "wire"])
+@pytest.mark.parametrize("case", list(BAD_RUN_SIZES))
+def test_run_sizes_are_validated_at_the_run_spec(prepared, entry, case):
+    """Every way into a run rejects empty or negative sizes up front."""
+    from repro.orchestrate import GridCell, wire
+
+    field, bad = BAD_RUN_SIZES[case]
+    with pytest.raises(ValueError, match=field):
+        if entry == "run_platform":
+            run_platform("bg2", prepared, **bad)
+        elif entry == "GridCell":
+            GridCell("bg2", "ogbn", **bad)
+        else:
+            job = wire.encode_job((GridCell("bg2", "ogbn"), 0, None))
+            job["cell"]["fields"].update(wire.encode_value(bad))
+            wire.decode_job(job)

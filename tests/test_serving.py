@@ -651,14 +651,14 @@ class TestStallGuard:
     def test_stalled_run_raises_loudly(self, monkeypatch):
         from repro.orchestrate import batched
 
-        monkeypatch.setattr(batched, "_start_run", lambda job: _StalledRun())
+        monkeypatch.setattr(batched, "start_cell", lambda job: _StalledRun())
         with pytest.raises(RuntimeError, match="stalled"):
             execute_batch([("cell", 0, None)], max_idle_sweeps=3)
 
     def test_error_names_progress(self, monkeypatch):
         from repro.orchestrate import batched
 
-        monkeypatch.setattr(batched, "_start_run", lambda job: _StalledRun())
+        monkeypatch.setattr(batched, "start_cell", lambda job: _StalledRun())
         with pytest.raises(RuntimeError, match="0/1 cells completed"):
             execute_batch([("cell", 0, None)], max_idle_sweeps=2)
 
@@ -669,7 +669,7 @@ class TestStallGuard:
         # spent: the guard must stay quiet and hand the run to finalize
         # (the sentinel exception proves we got there).
         monkeypatch.setattr(
-            batched, "_start_run", lambda job: _CrawlingRun(sweeps=3)
+            batched, "start_cell", lambda job: _CrawlingRun(sweeps=3)
         )
         with pytest.raises(_Finalized):
             execute_batch([("cell", 0, None)], max_idle_sweeps=3)
@@ -694,7 +694,7 @@ class TestStallGuard:
             def finalize(self):
                 raise _Finalized()
 
-        monkeypatch.setattr(batched, "_start_run", lambda job: Alternating())
+        monkeypatch.setattr(batched, "start_cell", lambda job: Alternating())
         with pytest.raises(_Finalized):
             execute_batch([("cell", 0, None)], max_idle_sweeps=2)
 

@@ -3,8 +3,9 @@
 Records, for every cached artifact kind (grid cell, scale-out array,
 serving point, cache ablation), the content-addressed key of a set of
 configurations — the plain case plus every field that joins a key only
-when it differs from its default — and the sha256 of one stored result
-cache document per kind (envelope and ``meta`` bytes included).
+when it differs from its default — the sha256 of one stored result
+cache document per kind (envelope and ``meta`` bytes included), and the
+names of every cache file a cold run of each entry point writes.
 ``tests/test_cache_keys.py`` asserts the current code reproduces every
 entry byte for byte: a changed key silently turns every warm cache on
 disk cold, and a changed document breaks caches shared across versions
@@ -28,7 +29,9 @@ from repro.cache.page import CacheConfig
 from repro.cache.sweep import cache_ablation_key, sweep_cache
 from repro.orchestrate import GridCell, ResultCache, cell_cache_key, run_grid
 from repro.platforms.background import BackgroundIoConfig
+from repro.platforms.query import measure_query_latency
 from repro.platforms.registry import platform_by_name
+from repro.platforms.runner import PreparedWorkload
 from repro.platforms.scaleout import P2pLink, scaleout_cache_key, scaleout_outcome
 from repro.serving import serve, serving_cache_key
 from repro.serving.arrivals import OnOffArrivals, PoissonArrivals, TraceArrivals
@@ -58,9 +61,17 @@ def cell_keys() -> dict:
         "page_cache": {"page_cache": PAGE_CACHE},
         "layout_locality": {"layout": "locality"},
         "targets": {"targets": ((1, 2, 3), ())},
+        "hidden_dim": {"hidden_dim": 64},
+        "no_overlap": {"pipeline_overlap": False},
+        # a registry name is scaled down to scaled_nodes before hashing
+        "registry_name": {"workload": "amazon"},
+        # so is a spec larger than scaled_nodes
+        "spec_above_scaled_nodes": {"workload": workload_by_name("reddit").scaled(2 * NODES)},
+        "ssd_config": {"ssd_config": ull_ssd().with_flash(num_channels=4)},
+        "platform_features": {"platform": platform_by_name("glist")},
     }
     return {
-        name: cell_cache_key(GridCell(**base, **fields), 7)
+        name: cell_cache_key(GridCell(**{**base, **fields}), 7)
         for name, fields in variants.items()
     }
 
@@ -176,6 +187,58 @@ def entry_point_keys() -> dict:
         }
 
 
+def _files_written(run) -> list:
+    """Sorted names of the result-cache files one cold ``run(common)`` writes."""
+    with tempfile.TemporaryDirectory() as root:
+        run(dict(cache=ResultCache(root), image_cache=False))
+        return sorted(path.name for path in Path(root).iterdir())
+
+
+def entry_point_files() -> dict:
+    """Every cache file a cold run of each entry point writes.
+
+    Pins the keys of the cells each entry point derives internally
+    (per-shard, per-query, per-batch and per-ablation-point cells), not
+    just the key of the whole document it reports.
+    """
+    spec = _spec()
+    tiny = dict(num_hops=1, fanout=1)
+    cells = [
+        GridCell("bg2", "ogbn", batch_size=2, num_batches=1, scaled_nodes=NODES, **tiny),
+        GridCell("cc", spec, batch_size=2, num_batches=1, seed=5, **tiny),
+        GridCell(
+            platform_by_name("bg1"), spec, batch_size=2, num_batches=1, seed=1,
+            pipeline_overlap=False, layout="locality", **tiny,
+        ),
+    ]
+    arrival = PoissonArrivals(rate_qps=5e5, seed=3)
+    runs = {
+        "run_grid": lambda common: run_grid(cells, **common),
+        "scaleout_hash": lambda common: scaleout_outcome(
+            2, "bg2", spec, batch_size=4, num_batches=2, **tiny, **common
+        ),
+        "scaleout_label_prop": lambda common: scaleout_outcome(
+            2, "bg2", spec, batch_size=4, num_batches=1, partitioner="label-prop",
+            **tiny, **common,
+        ),
+        "serve": lambda common: serve(
+            "bg2", spec, arrival, num_queries=3, max_batch=2, query_batch_size=2,
+            **tiny, **common,
+        ),
+        "sweep_cache": lambda common: sweep_cache(
+            "bg2", "ogbn", capacities_mb=[0.25], policies=["lru", "clock"],
+            batch_size=2, num_batches=1, scaled_nodes=NODES, **tiny, **common,
+        ),
+        "query_latency": lambda common: measure_query_latency(
+            "bg2", spec, num_queries=2, **tiny, **common
+        ),
+        "query_latency_prepared": lambda common: measure_query_latency(
+            "bg2", PreparedWorkload.prepare(spec), num_queries=2, **tiny, **common
+        ),
+    }
+    return {name: _files_written(run) for name, run in runs.items()}
+
+
 def compute_corpus() -> dict:
     return {
         "keys": {
@@ -186,6 +249,7 @@ def compute_corpus() -> dict:
             "entry_point": entry_point_keys(),
         },
         "documents": document_digests(),
+        "files": entry_point_files(),
     }
 
 
