@@ -21,6 +21,7 @@ from .reader import (
     DirectGraphReader,
     PrimarySectionView,
     SecondarySectionView,
+    SectionAddresses,
     decode_page,
     decode_section,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "DecodedPage",
     "PrimarySectionView",
     "SecondarySectionView",
+    "SectionAddresses",
     "verify_image",
     "verify_targets",
     "VerificationReport",

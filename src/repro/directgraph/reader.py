@@ -3,16 +3,24 @@
 The decoder is shared by the host-side verification path (round-trip tests
 against the source graph) and by the die-level sampler model, which operates
 on exactly these page bytes.
+
+Decoding is header-only, like the die's section iterator (Section V-A): it
+validates the page and parses one fixed section header, and the address
+fields are :class:`SectionAddresses` views that unpack an entry only when
+it is read. The sampler touches ``fanout`` entries of a node's list, so a
+decode costs the same for a degree-3 node and a degree-3,000 one.
 """
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
 
-from .address import ADDRESS_BYTES, SectionAddress
+from .address import ADDRESS_BYTES, AddressCodec, SectionAddress
 from .builder import DirectGraphImage
 from .spec import (
     FormatSpec,
@@ -25,6 +33,7 @@ from .spec import (
 __all__ = [
     "PrimarySectionView",
     "SecondarySectionView",
+    "SectionAddresses",
     "DecodedPage",
     "decode_page",
     "decode_section",
@@ -39,9 +48,9 @@ class PrimarySectionView:
     node_id: int
     neighbor_count: int  # full degree, including secondary-resident entries
     n_inline: int
-    secondary_addrs: List[SectionAddress]
+    secondary_addrs: SectionAddresses
     feature_bytes: bytes
-    inline_neighbor_addrs: List[SectionAddress]
+    inline_neighbor_addrs: SectionAddresses
     section_len: int
     growth_slots_free: int = 0  # unused reserved secondary slots
 
@@ -59,7 +68,7 @@ class SecondarySectionView:
 
     node_id: int
     neighbor_count: int  # entries in this section only
-    neighbor_addrs: List[SectionAddress]
+    neighbor_addrs: SectionAddresses
     section_len: int
 
     @property
@@ -80,95 +89,120 @@ class DirectGraphFormatError(ValueError):
     """Raised when page bytes violate the DirectGraph layout."""
 
 
-def _section_offset(spec: FormatSpec, raw: bytes, index: int) -> int:
-    n_sections = raw[1]
-    if not (0 <= index < n_sections):
+# type, free growth slots, len, node, neighbor count, n_secondary, n_inline
+_PRIMARY_HEADER = struct.Struct("<BBHIIHH")
+_SECONDARY_HEADER = struct.Struct("<BBHIH")  # type, flags, len, node, count
+_OFFSET = struct.Struct("<H")
+
+
+class SectionAddresses(Sequence):
+    """Read-only view of ``count`` packed addresses in a page's bytes.
+
+    Built by :func:`decode_section` after every bound check has passed, so
+    reading any entry cannot fail. Only the entries actually read become
+    :class:`SectionAddress` objects — the die sampler touches a few of a
+    node's neighbor entries, never the whole list.
+    """
+
+    __slots__ = ("_codec", "_raw", "_at", "_count")
+
+    def __init__(self, codec: AddressCodec, raw: bytes, at: int, count: int) -> None:
+        self._codec = codec
+        self._raw = raw
+        self._at = at
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> SectionAddress:
+        if index < 0:
+            index += self._count
+        if not 0 <= index < self._count:
+            raise IndexError("section address index out of range")
+        at = self._at + ADDRESS_BYTES * index
+        return self._codec.unpack_bytes(self._raw[at : at + ADDRESS_BYTES])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SectionAddresses, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _check_extent(
+    kind: str, at: int, size: Optional[int], end: int, page_size: int
+) -> None:
+    """A section spans ``at..end``: it must end inside the page and, once
+    its header is read, match the header's length field (``size``)."""
+    if size is not None and end - at != size:
         raise DirectGraphFormatError(
-            f"section index {index} out of range (page has {n_sections})"
+            f"{kind} section length mismatch: header says {size}, decoded {end - at}"
         )
-    at = 2 + 2 * index
-    offset = int.from_bytes(raw[at : at + 2], "little")
-    if offset < spec.page_header_bytes or offset >= spec.page_size:
-        raise DirectGraphFormatError(f"corrupt section offset {offset}")
-    return offset
+    if end > page_size:
+        raise DirectGraphFormatError(
+            f"{kind} section at {at} runs to byte {end}, past the {page_size} B page"
+        )
 
 
 def decode_section(spec: FormatSpec, raw: bytes, index: int) -> SectionView:
     """Decode section ``index`` of a page (as the section iterator does).
 
-    Any malformed content raises :class:`DirectGraphFormatError` — never a
-    bare slicing/conversion error — so callers can treat all corruption
-    uniformly (the on-die checker turns it into a SamplerFault).
+    Parses only the fixed header; the address fields are lazy
+    :class:`SectionAddresses` views over ``raw``. Every check runs here —
+    page length, section index, offset, type, header length against the
+    counts and section end against the page size — so any malformed
+    content raises :class:`DirectGraphFormatError` now and reading a
+    returned view never fails (the on-die checker turns the error into a
+    SamplerFault).
     """
-    try:
-        return _decode_section_unchecked(spec, raw, index)
-    except DirectGraphFormatError:
-        raise
-    except (ValueError, IndexError) as err:
-        raise DirectGraphFormatError(f"corrupt section {index}: {err}")
-
-
-def _decode_section_unchecked(
-    spec: FormatSpec, raw: bytes, index: int
-) -> SectionView:
-    if len(raw) != spec.page_size:
+    page_size = spec.page_size
+    if len(raw) != page_size:
+        raise DirectGraphFormatError(f"page must be {page_size} B, got {len(raw)}")
+    if type(raw) is not bytes:
+        raw = bytes(raw)  # views keep a snapshot, never a mutable buffer
+    n_sections = min(raw[1], spec.max_sections_per_page)
+    if not (0 <= index < n_sections):
         raise DirectGraphFormatError(
-            f"page must be {spec.page_size} B, got {len(raw)}"
+            f"section index {index} out of range (page has {raw[1]})"
         )
-    at = _section_offset(spec, raw, index)
+    (at,) = _OFFSET.unpack_from(raw, 2 + 2 * index)
+    if at < spec.page_header_bytes or at >= page_size:
+        raise DirectGraphFormatError(f"corrupt section offset {at}")
     stype = raw[at]
+    codec = spec.codec
     if stype == SECTION_TYPE_PRIMARY:
-        growth_free = raw[at + 1]
-        size = int.from_bytes(raw[at + 2 : at + 4], "little")
-        node_id = int.from_bytes(raw[at + 4 : at + 8], "little")
-        neighbor_count = int.from_bytes(raw[at + 8 : at + 12], "little")
-        n_secondary = int.from_bytes(raw[at + 12 : at + 14], "little")
-        n_inline = int.from_bytes(raw[at + 14 : at + 16], "little")
-        cursor = at + PRIMARY_HEADER_BYTES
-        sec_addrs = []
-        for _ in range(n_secondary):
-            sec_addrs.append(spec.codec.unpack_bytes(bytes(raw[cursor : cursor + 4])))
-            cursor += 4
-        cursor += ADDRESS_BYTES * growth_free  # skip reserved (null) slots
-        feature = bytes(raw[cursor : cursor + spec.feature_bytes])
-        cursor += spec.feature_bytes
-        inline = []
-        for _ in range(n_inline):
-            inline.append(spec.codec.unpack_bytes(bytes(raw[cursor : cursor + 4])))
-            cursor += 4
-        if cursor - at != size:
-            raise DirectGraphFormatError(
-                f"primary section length mismatch: header says {size}, "
-                f"decoded {cursor - at}"
-            )
+        _check_extent("primary", at, None, at + PRIMARY_HEADER_BYTES, page_size)
+        _, growth_free, size, node_id, neighbor_count, n_secondary, n_inline = (
+            _PRIMARY_HEADER.unpack_from(raw, at)
+        )
+        sec_at = at + PRIMARY_HEADER_BYTES
+        feature_at = sec_at + ADDRESS_BYTES * (n_secondary + growth_free)
+        inline_at = feature_at + spec.feature_bytes
+        end = inline_at + ADDRESS_BYTES * n_inline
+        _check_extent("primary", at, size, end, page_size)
         return PrimarySectionView(
             node_id=node_id,
             neighbor_count=neighbor_count,
             n_inline=n_inline,
-            secondary_addrs=sec_addrs,
-            feature_bytes=feature,
-            inline_neighbor_addrs=inline,
+            secondary_addrs=SectionAddresses(codec, raw, sec_at, n_secondary),
+            feature_bytes=raw[feature_at:inline_at],
+            inline_neighbor_addrs=SectionAddresses(codec, raw, inline_at, n_inline),
             section_len=size,
             growth_slots_free=growth_free,
         )
     if stype == SECTION_TYPE_SECONDARY:
-        size = int.from_bytes(raw[at + 2 : at + 4], "little")
-        node_id = int.from_bytes(raw[at + 4 : at + 8], "little")
-        count = int.from_bytes(raw[at + 8 : at + 10], "little")
-        cursor = at + SECONDARY_HEADER_BYTES
-        addrs = []
-        for _ in range(count):
-            addrs.append(spec.codec.unpack_bytes(bytes(raw[cursor : cursor + 4])))
-            cursor += 4
-        if cursor - at != size:
-            raise DirectGraphFormatError(
-                f"secondary section length mismatch: header says {size}, "
-                f"decoded {cursor - at}"
-            )
+        _check_extent("secondary", at, None, at + SECONDARY_HEADER_BYTES, page_size)
+        _, _, size, node_id, count = _SECONDARY_HEADER.unpack_from(raw, at)
+        addrs_at = at + SECONDARY_HEADER_BYTES
+        end = addrs_at + ADDRESS_BYTES * count
+        _check_extent("secondary", at, size, end, page_size)
         return SecondarySectionView(
             node_id=node_id,
             neighbor_count=count,
-            neighbor_addrs=addrs,
+            neighbor_addrs=SectionAddresses(codec, raw, addrs_at, count),
             section_len=size,
         )
     raise DirectGraphFormatError(f"unknown section type {stype}")

@@ -3,7 +3,10 @@
 The sampler lives in each flash die's control circuitry and runs four
 micro-units over the page held in the cache register:
 
-* **section iterator** — walks the offset table to the target section;
+* **section iterator** — walks the offset table to the target section
+  and checks its fixed header (:meth:`DieSampler.decode_for`, the one
+  decode call on every path). Decoding is header-only: neighbor entries
+  are read from the page bytes only where a draw lands;
 * **vector retriever** — copies the feature vector to the data register;
 * **node sampler** — modulo-samples neighbors with TRNG draws. Primary
   sections sample over the *entire* neighbor range (including entries that
@@ -124,44 +127,31 @@ class DieSampler:
 
     # -- command execution ----------------------------------------------------
 
-    def execute(
-        self,
-        page_bytes: bytes,
-        command: SamplingCommand,
-        section: Optional[SectionView] = None,
-    ) -> SampleResult:
-        """Run one sampling command against the page in the cache register.
-
-        ``section`` optionally supplies the command's already-decoded
-        section view (see :meth:`decode_for`): decoding is a pure function
-        of the page bytes, so callers holding pages in a host-side cache
-        skip re-walking the raw bytes on every hit. Passing the view a
-        fresh decode would produce yields an identical result.
-        """
+    def execute(self, page_bytes: bytes, command: SamplingCommand) -> SampleResult:
+        """Run one sampling command against the page in the cache register."""
         if command.kind in (CommandKind.SAMPLE_PRIMARY, CommandKind.FETCH_FEATURE):
-            return self._execute_primary(page_bytes, command, section)
-        if command.kind == CommandKind.SAMPLE_SECONDARY:
-            return self._execute_secondary(page_bytes, command, section)
-        raise SamplerFault(f"die cannot execute command kind {command.kind}")
+            run = self._execute_primary
+        elif command.kind == CommandKind.SAMPLE_SECONDARY:
+            run = self._execute_secondary
+        else:
+            raise SamplerFault(f"die cannot execute command kind {command.kind}")
+        return run(command, self.decode_for(page_bytes, command))
 
     def decode_for(self, page_bytes: bytes, command: SamplingCommand) -> SectionView:
-        """Decode the section a command addresses (memoizable by callers)."""
-        return self._decode(page_bytes, command)
+        """Decode the section a command addresses (the section iterator).
 
-    def _decode(self, page_bytes: bytes, command: SamplingCommand):
+        The one decode every path takes — device reads, page-cache hits
+        and :func:`run_in_storage_sampling` alike. A malformed section is
+        the on-die check failing, so it surfaces as :class:`SamplerFault`.
+        """
         try:
             return decode_section(self.spec, page_bytes, command.address.section)
         except DirectGraphFormatError as err:
             raise SamplerFault(f"section check failed at {command.address}: {err}")
 
     def _execute_primary(
-        self,
-        page_bytes: bytes,
-        command: SamplingCommand,
-        section: Optional[SectionView] = None,
+        self, command: SamplingCommand, section: SectionView
     ) -> SampleResult:
-        if section is None:
-            section = self._decode(page_bytes, command)
         if not isinstance(section, PrimarySectionView):
             raise SamplerFault(
                 f"expected primary section at {command.address}, got type "
@@ -244,13 +234,8 @@ class DieSampler:
         return result
 
     def _execute_secondary(
-        self,
-        page_bytes: bytes,
-        command: SamplingCommand,
-        section: Optional[SectionView] = None,
+        self, command: SamplingCommand, section: SectionView
     ) -> SampleResult:
-        if section is None:
-            section = self._decode(page_bytes, command)
         if not isinstance(section, SecondarySectionView):
             raise SamplerFault(
                 f"expected secondary section at {command.address}, got type "

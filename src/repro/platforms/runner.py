@@ -383,6 +383,11 @@ class PlatformRun:
             meters.totals["page_cache_evictions"] = float(pc.evictions)
             result.cache = pc.stats_dict()
         self._result = result
+        # Break the cycles a finished run would otherwise leave for a full
+        # collection: the dies' executor is a bound method of the engine,
+        # and pooled events point back at the simulator.
+        prep.device.flash.detach_executor()
+        sim.clear_pools()
         return result
 
 

@@ -491,6 +491,18 @@ class Simulator:
         """True when both lanes are empty (nothing left to deliver)."""
         return not (self._fast or self._queue)
 
+    def clear_pools(self) -> None:
+        """Empty the recycling pools.
+
+        Pooled events point back at this simulator, so a simulator with
+        full pools is a reference cycle. Clearing them once a run is over
+        lets reference counting free the whole run at once; the pools
+        refill on their own if the simulator is driven again.
+        """
+        self._timeout_pool.clear()
+        self._event_pool.clear()
+        self._process_pool.clear()
+
     def run(self, until: Optional[float] = None) -> None:
         """Run until both lanes drain or simulated time reaches ``until``."""
         fast = self._fast

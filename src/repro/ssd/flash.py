@@ -130,13 +130,24 @@ class FlashDieModel:
                 self._engine.release()
             else:
                 self._sense.release()
-            job.done.succeed(job)
+            _complete(job)
 
     def _finish_pipelined(self, job: FlashJob, transfer: Event):
         yield transfer
         job.record.transfer_end = self.sim.now
         self._register.release()
-        job.done.succeed(job)
+        _complete(job)
+
+
+def _complete(job: FlashJob) -> None:
+    """Fire the job's done event with the job as its value.
+
+    The job lets go of the event first: an event whose value points back
+    at its job would otherwise keep every finished read alive as cyclic
+    garbage until a full collection.
+    """
+    done, job.done = job.done, None
+    done.succeed(job)
 
 
 class FlashBackend:
@@ -194,3 +205,14 @@ class FlashBackend:
     @property
     def channel_bytes(self) -> int:
         return sum(pipe.bytes_moved for pipe in self.channels)
+
+    def detach_executor(self) -> None:
+        """Drop every die's executor once no more reads will be served.
+
+        The executor is usually a bound method of the engine that owns this
+        backend; dropping it breaks that cycle so a finished run is freed
+        by reference counting.
+        """
+        for row in self.dies:
+            for die in row:
+                die.executor = None

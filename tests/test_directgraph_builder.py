@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.directgraph import (
+    LAYOUTS,
     FormatSpec,
     PAGE_TYPE_PRIMARY,
     PAGE_TYPE_SECONDARY,
     DirectGraphReader,
+    PrimarySectionView,
+    SecondarySectionView,
     build_directgraph,
     decode_page,
 )
@@ -20,6 +23,9 @@ from repro.gnn import (
     ring_of_cliques,
     uniform_random_graph,
 )
+from repro.platforms.runner import PreparedWorkload
+from repro.workloads import workload_by_name
+from repro.workloads.registry import EXTRA_WORKLOADS, WORKLOADS
 
 
 def small_spec(dim=4, page_size=512):
@@ -164,6 +170,47 @@ class TestSerialization:
         reader = DirectGraphReader(image)
         for node in range(0, 150, 7):
             assert reader.neighbors(node) == [int(x) for x in g.neighbors(node)]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("workload", sorted({**WORKLOADS, **EXTRA_WORKLOADS}))
+    def test_sections_match_build_plan(self, workload, layout):
+        """Every section of every registered workload decodes to its plan.
+
+        At 2 KB pages the wide-feature workloads spill into secondary
+        sections, so both section kinds and every address field are read
+        back entry by entry.
+        """
+        prepared = PreparedWorkload.prepare(
+            workload_by_name(workload).scaled(256), page_size=2048, layout=layout
+        )
+        graph, image = prepared.graph, prepared.image
+        reader = DirectGraphReader(image)
+        spilled = 0
+        for plan in image.node_plans:
+            node = plan.node_id
+            packed = [image.address_of(int(n)) for n in graph.neighbors(node)]
+            primary = reader.section_at(plan.primary_addr)
+            assert isinstance(primary, PrimarySectionView)
+            assert primary.node_id == node
+            assert primary.neighbor_count == plan.degree == len(packed)
+            assert primary.n_inline == plan.n_inline
+            assert list(primary.secondary_addrs) == plan.secondary_addrs
+            assert list(primary.inline_neighbor_addrs) == packed[: plan.n_inline]
+            assert primary.feature_bytes == (
+                prepared.features.vector(node).astype(np.float16).tobytes()
+            )
+            at = plan.n_inline
+            for addr, count in zip(plan.secondary_addrs, plan.secondary_counts):
+                secondary = reader.section_at(addr)
+                assert isinstance(secondary, SecondarySectionView)
+                assert secondary.node_id == node
+                assert secondary.neighbor_count == count
+                assert list(secondary.neighbor_addrs) == packed[at : at + count]
+                at += count
+                spilled += 1
+            assert at == len(packed)
+        if workload == "reddit":
+            assert spilled > 0  # degree 492 overflows a 2 KB primary
 
     def test_reader_neighbors_match_with_secondaries(self):
         lists = [[j % 20 for j in range(300)]] + [[0, 1]] * 19

@@ -89,6 +89,25 @@ class TestAddNeighbors:
         assert updater.stats.growth_slots_consumed == 0
         assert DirectGraphReader(image).neighbors(0)[-1] == 3
 
+    def test_extends_the_last_of_several_secondaries(self):
+        """The updater finds the node's last secondary through the decoded
+        view's ``secondary_addrs[-1]`` and grows that one, not the first."""
+        lists = [[(j % 30) + 1 for j in range(300)]] + [[0]] * 30
+        image = build(Graph.from_neighbor_lists(lists), page_size=512)
+        plan = image.node_plans[0]
+        assert plan.n_secondary >= 2
+        first, last = plan.secondary_addrs[0], plan.secondary_addrs[-1]
+        counts = list(plan.secondary_counts)
+        assert counts[-1] < image.spec.max_secondary_neighbors
+        reader = DirectGraphReader(image)
+        assert reader.primary_section(0).secondary_addrs[-1] == last
+        updater = DirectGraphUpdater(image, spare_ppas=spare_pages(image))
+        updater.add_neighbors(0, [3])
+        assert updater.stats.sections_extended == 1
+        assert reader.section_at(first).neighbor_count == counts[0]
+        assert reader.section_at(last).neighbor_count == counts[-1] + 1
+        assert reader.neighbors(0) == lists[0] + [3]
+
     def test_creates_section_when_last_is_full(self):
         g = power_law_graph(60, 6.0, seed=4)
         image = build(g)

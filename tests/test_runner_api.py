@@ -1,9 +1,15 @@
 """Tests for the public run_platform API and result plumbing."""
 
+import gc
+
 import pytest
 
+from repro.cache.page import CacheConfig
 from repro.platforms import PreparedWorkload, run_platform
+from repro.platforms.datapath import PrepCommand
 from repro.platforms.features import PlatformFeatures
+from repro.sim import Simulator
+from repro.ssd.flash import FlashJob
 from repro.ssd import ull_ssd
 from repro.workloads import WorkloadSpec, workload_by_name
 
@@ -86,6 +92,34 @@ class TestRunPlatformApi:
             "bg2", prepared, batch_size=8, num_batches=1, num_hops=3, fanout=3
         )
         assert big.meters.get("flash_reads") > small.meters.get("flash_reads")
+
+    @pytest.mark.parametrize(
+        "platform, page_cache",
+        [("cc", None), ("gids", None), ("bg2", None), ("bg2", CacheConfig(1.0))],
+    )
+    def test_finished_run_is_freed_without_a_collection(
+        self, prepared, platform, page_cache
+    ):
+        """Finalize breaks the run's reference cycles, so reference counting
+        frees its commands, flash jobs and simulator at once."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_platform(
+                platform, prepared, batch_size=8, num_batches=2, page_cache=page_cache
+            )
+            gc.collect()
+            leaked = {
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, (PrepCommand, FlashJob, Simulator))
+            }
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not leaked
 
 
 class TestPlatformFeatureValidation:
