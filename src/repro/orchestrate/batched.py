@@ -13,7 +13,7 @@ progress heartbeats between slices.
 Delivery-order guarantee: each kernel is driven only through ``step``,
 which delivers in exactly the order one ``run()`` call would (see
 :mod:`repro.sim.kernel`), and the simulations share no state, so the
-payloads produced here are bit-identical to per-cell dispatch.
+payload texts produced here are bit-identical to per-cell dispatch.
 
 :func:`run_grid` ships batches of cells to workers through
 :func:`_execute_chunk`; :func:`auto_chunk_size` and
@@ -30,15 +30,16 @@ import os
 import sys
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..platforms.runner import PlatformRun
 from .envcfg import env_float
 from .grid import start_cell
-from .serialize import result_to_payload
+from .serialize import encode
 
 __all__ = [
     "execute_batch",
+    "iter_batch",
     "available_cpus",
     "auto_chunk_size",
     "DEFAULT_SLICE_EVENTS",
@@ -124,22 +125,35 @@ def auto_chunk_size(n_cells: int, jobs: int) -> int:
     return max(1, math.ceil(n_cells / (jobs * 4)))
 
 
-def execute_batch(
+def execute_batch(jobs: Sequence[Tuple], **options) -> List[str]:
+    """Simulate a batch of cells cooperatively; payload texts in job order.
+
+    The eager form of :func:`iter_batch`, which documents ``options``.
+    """
+    return list(iter_batch(jobs, **options))
+
+
+def iter_batch(
     jobs: Sequence[Tuple],
     *,
     max_live: int = DEFAULT_MAX_LIVE,
     slice_events: int = DEFAULT_SLICE_EVENTS,
     heartbeat: Optional[Callable[[Dict], None]] = None,
     max_idle_sweeps: int = DEFAULT_MAX_IDLE_SWEEPS,
-) -> List[Dict]:
-    """Simulate a batch of cells cooperatively; payloads in job order.
+) -> Iterator[str]:
+    """Simulate cells cooperatively; yield their payload texts in job order.
 
     ``jobs`` are the same ``(cell, seed, image_cache_root)`` tuples the
     per-cell worker protocol uses. Up to ``max_live`` simulations are
     live at once; each sweep gives every live kernel one
     ``step(slice_events)`` slice, finalizes the ones that drained, and
-    refills from the queue. ``heartbeat`` (if set) is called after every
-    sweep with ``{"completed", "live", "total", "events"}``.
+    refills from the queue. Each finished run is encoded once into its
+    sorted payload text (:func:`~repro.orchestrate.serialize.encode`) and
+    dropped; a text is yielded as soon as every earlier job's has been,
+    so a consumer that stores and drops each one holds only the few
+    texts of runs that finished out of order. ``heartbeat`` (if set) is
+    called after every sweep with ``{"completed", "live", "total",
+    "events"}``.
 
     A run that delivers fewer than ``slice_events`` events without
     reporting ``finished`` for ``max_idle_sweeps`` consecutive sweeps is
@@ -151,7 +165,8 @@ def execute_batch(
     if max_idle_sweeps < 1:
         raise ValueError("max_idle_sweeps must be >= 1")
     jobs = list(jobs)
-    payloads: List[Optional[Dict]] = [None] * len(jobs)
+    finished: Dict[int, str] = {}  # texts not yet yielded, by job index
+    next_out = 0
     pending = deque(range(len(jobs)))
     live: List[Tuple[int, PlatformRun]] = []
     idle_sweeps: Dict[int, int] = {}
@@ -166,7 +181,7 @@ def execute_batch(
             n = run.step(slice_events)
             events += n
             if n < slice_events and run.finished:
-                payloads[i] = result_to_payload(run.finalize())
+                finished[i] = encode("result", run.finalize())
                 completed += 1
                 idle_sweeps.pop(i, None)
             elif n < slice_events:
@@ -195,7 +210,9 @@ def execute_batch(
                     "events": events,
                 }
             )
-    return payloads  # type: ignore[return-value]
+        while next_out in finished:
+            yield finished.pop(next_out)
+            next_out += 1
 
 
 def _env_heartbeat(chunk_size: int) -> Optional[Callable[[Dict], None]]:
@@ -226,6 +243,6 @@ def _env_heartbeat(chunk_size: int) -> Optional[Callable[[Dict], None]]:
     return beat
 
 
-def _execute_chunk(chunk_jobs: Sequence[Tuple]) -> List[Dict]:
+def _execute_chunk(chunk_jobs: Sequence[Tuple]) -> List[str]:
     """Worker entry point: one pool task simulates a whole chunk."""
     return execute_batch(chunk_jobs, heartbeat=_env_heartbeat(len(chunk_jobs)))

@@ -8,10 +8,14 @@ repeated sweeps, CI runs, and overlapping benchmark grids skip cells that
 have already been simulated — regardless of which entry point ran them
 first.
 
-Entries are JSON documents written atomically (tmp file + rename), so a
-killed run never leaves a truncated entry behind. Every artifact kind
-goes through one :func:`lookup`/:func:`store` pair (whole documents
-through :func:`cached`); an unreadable or malformed entry is a miss.
+Entries are sorted JSON documents written atomically (tmp file +
+rename), so a killed run never leaves a truncated entry behind, and a
+failed write leaves no tmp file either. Every artifact kind goes through
+one :func:`lookup`/:func:`store` pair (whole documents through
+:func:`cached`); an unreadable or malformed entry is a miss. A fresh
+payload reaches :func:`store` as the one sorted text
+:func:`~repro.orchestrate.serialize.encode` made of it, and is spliced
+into the document without being encoded again.
 
 The hashing and eviction primitives live in :mod:`repro.cacheutil`
 (shared with the DirectGraph image cache) and are re-exported here for
@@ -35,7 +39,7 @@ from ..cacheutil import (
     prune_dir,
     stable_hash,
 )
-from .serialize import CODECS, envelope_body, kind_tag
+from .serialize import decode, encode, envelope_body, kind_tag, open_payload
 
 __all__ = [
     "stable_hash",
@@ -68,13 +72,19 @@ class ResultCache:
         except (OSError, ValueError):
             return None
 
-    def put(self, key: str, document: Dict) -> Path:
+    def put(self, key: str, document: str) -> Path:
+        """Write one entry's JSON text atomically; last writer wins.
+
+        If the write or the rename fails, the tmp file is removed and
+        the error propagates.
+        """
         path = self.path_for(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(document, sort_keys=True, default=json_default)
-        )
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(document)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     def __contains__(self, key: str) -> bool:
@@ -123,10 +133,18 @@ def lookup(cache: Optional[ResultCache], kind: str, key: str) -> Optional[Dict]:
     return payload
 
 
-def store(cache: ResultCache, kind: str, key: str, payload: Dict, **meta) -> None:
-    """Write ``payload`` under ``key`` with its kind-tagged ``meta``."""
+def store(cache: ResultCache, kind: str, key: str, text: str, **meta) -> None:
+    """Write the payload ``text`` under ``key`` with its kind-tagged ``meta``.
+
+    ``text`` is the sorted envelope text :func:`encode` returned. The
+    document is spliced around it, byte-identical to
+    ``json.dumps({"payload": json.loads(text), "meta": meta},
+    sort_keys=True)``: "meta" sorts before "payload", and the text is
+    already sorted.
+    """
     meta = {**kind_tag(kind), **meta, "code_version": __version__}
-    cache.put(key, {"payload": payload, "meta": meta})
+    meta_text = json.dumps(meta, sort_keys=True, default=json_default)
+    cache.put(key, '{"meta": ' + meta_text + ', "payload": ' + text + "}")
 
 
 def cached(
@@ -144,16 +162,16 @@ def cached(
     ``require_cached`` it must not simulate (it raises the miss
     ``KeyError`` or loads every part from the cache). Returns
     ``(artifact, accounting)``, with accounting None when the document
-    came from the cache. A fresh artifact takes the same payload round
-    trip a cached one does, so the two are interchangeable bit for bit.
+    came from the cache. A fresh artifact is encoded once, stored, and
+    decoded from the same text a cached one is read from, so the two are
+    interchangeable bit for bit.
     """
     require_cache(cache, require_cached)
-    to_payload, from_payload = CODECS[kind]
     payload = lookup(cache, kind, key)
     if payload is not None:
-        return from_payload(payload), None
+        return open_payload(kind, payload), None
     value, accounting = compute()
-    payload = to_payload(value)
+    text = encode(kind, value)
     if cache is not None:
-        store(cache, kind, key, payload, **meta)
-    return from_payload(payload), accounting
+        store(cache, kind, key, text, **meta)
+    return decode(kind, text), accounting

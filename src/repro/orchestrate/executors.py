@@ -14,10 +14,14 @@ the simulations run. Three backends ship:
   (see :mod:`repro.orchestrate.remote`).
 
 Every backend consumes the same ``(cell, seed, image_cache_root)`` job
-tuples and returns payload dicts in job order. Determinism is the
-protocol's core contract: per-cell seeds are fixed *before* dispatch, a
-cell's simulation depends only on (cell, seed), and payloads are
-JSON-normalized — so every backend is bit-identical to ``serial``.
+tuples and returns payload texts in job order: each the sorted JSON text
+:func:`~repro.orchestrate.serialize.encode` made of one cell's
+``RunResult``, encoded once where the cell ran. ``serial`` returns them
+lazily, so ``run_grid`` stores and drops each text before the next cell
+finishes. Determinism is the protocol's core contract: per-cell seeds
+are fixed *before* dispatch, a cell's simulation depends only on
+(cell, seed), and a text is canonical JSON — so every backend returns,
+and caches, byte-identical texts to ``serial``.
 
 The registry is string-keyed so sweeps and the CLI can select a backend
 by name (``executor="remote"`` / ``--executor remote`` /
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .envcfg import env_choice
 
@@ -50,7 +54,10 @@ Job = Tuple  # (cell, seed, image_cache_root)
 
 
 class GridExecutor:
-    """Protocol for grid backends: jobs in, payload dicts out, in order.
+    """Protocol for grid backends: jobs in, payload texts out, in order.
+
+    ``run`` returns a list, or an iterator that simulates as it is
+    consumed.
 
     ``jobs`` is the caller's requested parallelism and ``chunk`` the
     dispatch granularity (``None`` = auto, ``1`` = per-cell); backends
@@ -70,7 +77,7 @@ class GridExecutor:
         jobs: int = 1,
         chunk: Optional[int] = None,
         cache=None,
-    ) -> List[Dict]:
+    ) -> Iterable[str]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -88,8 +95,9 @@ class SerialExecutor(GridExecutor):
 
     ``chunk=1`` keeps classic one-simulation-at-a-time execution; any
     other setting batches through
-    :func:`~repro.orchestrate.batched.execute_batch` (same payloads,
-    shared warm image memo).
+    :func:`~repro.orchestrate.batched.iter_batch` (same texts, shared
+    warm image memo). Both are lazy: a cell runs when its text is asked
+    for.
     """
 
     name = "serial"
@@ -101,13 +109,13 @@ class SerialExecutor(GridExecutor):
         jobs: int = 1,
         chunk: Optional[int] = None,
         cache=None,
-    ) -> List[Dict]:
-        from .batched import execute_batch
+    ) -> Iterable[str]:
+        from .batched import iter_batch
         from .grid import _execute_cell
 
         if chunk == 1:
-            return [_execute_cell(job) for job in jobs_args]
-        return execute_batch(jobs_args) if jobs_args else []
+            return map(_execute_cell, jobs_args)
+        return iter_batch(jobs_args)
 
 
 def _pool_context():
@@ -119,11 +127,11 @@ class ProcessExecutor(GridExecutor):
     """Local ``ProcessPoolExecutor`` fan-out (the historical default).
 
     ``chunk=1`` is classic per-cell dispatch — one pool task (and one
-    payload pickle) per cell, kept exact for differential testing and as
-    the perf-suite baseline. Chunked dispatch caps effective workers at
-    the CPUs this process may use (a worker beyond that only adds fork +
-    pickling overhead) and degrades to pure in-process batching when a
-    pool cannot help.
+    payload text pickled back) per cell, kept exact for differential
+    testing and as the perf-suite baseline. Chunked dispatch caps
+    effective workers at the CPUs this process may use (a worker beyond
+    that only adds fork + pickling overhead) and degrades to pure
+    in-process batching, lazy as in ``serial``, when a pool cannot help.
     """
 
     name = "process"
@@ -135,12 +143,12 @@ class ProcessExecutor(GridExecutor):
         jobs: int = 1,
         chunk: Optional[int] = None,
         cache=None,
-    ) -> List[Dict]:
+    ) -> Iterable[str]:
         from .batched import (
             _execute_chunk,
             auto_chunk_size,
             available_cpus,
-            execute_batch,
+            iter_batch,
         )
         from .grid import _execute_cell
 
@@ -152,7 +160,7 @@ class ProcessExecutor(GridExecutor):
                     mp_context=_pool_context(),
                 ) as pool:
                     return list(pool.map(_execute_cell, jobs_args))
-            return [_execute_cell(job) for job in jobs_args]
+            return map(_execute_cell, jobs_args)
         size = chunk if chunk is not None else auto_chunk_size(
             len(jobs_args), jobs
         )
@@ -169,7 +177,7 @@ class ProcessExecutor(GridExecutor):
                     for batch in pool.map(_execute_chunk, chunks)
                     for p in batch
                 ]
-        return execute_batch(jobs_args) if jobs_args else []
+        return iter_batch(jobs_args)
 
 
 def _remote_factory() -> GridExecutor:

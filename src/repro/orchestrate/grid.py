@@ -10,8 +10,8 @@ Determinism contract: a cell's result depends only on the cell itself
 worker count or execution order. Per-cell seeds are derived with the
 same ``repro.rng`` counter stream used by the samplers — keyed by the
 cell's content hash — so ``--jobs 8`` is bit-identical to ``--jobs 1``,
-and a cached result is bit-identical to a fresh one (both pass through
-the same JSON round trip).
+and a cached result is bit-identical to a fresh one (both are decoded
+from the same sorted JSON text).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..rng import stream_seed
 from ..workloads.registry import workload_by_name
 from ..workloads.specs import WorkloadSpec
 from .cache import ResultCache, lookup, require_cache, stable_hash, store
-from .serialize import artifact_key, non_default, result_from_payload, result_to_payload
+from .serialize import artifact_key, decode, encode, non_default, result_from_payload
 
 __all__ = [
     "GridCell",
@@ -104,27 +104,32 @@ def cell_cache_key(cell: GridCell, seed: int) -> str:
 
 def _lookup_cells(
     cells: Sequence[GridCell], cache: Optional[ResultCache], base_seed: int
-) -> Tuple[List[int], List[str], List[Optional[Dict]]]:
-    """The per-cell lookup: effective seeds, cache keys, cached payloads.
+) -> Tuple[List[int], List[str], List[Optional[RunResult]]]:
+    """The per-cell lookup: effective seeds, cache keys, cached results.
 
-    Seeds and keys are fixed here, before any dispatch; a payload is
-    None where the cell is not (well-formed) in ``cache``.
+    Seeds and keys are fixed here, before any dispatch; a result is
+    None where the cell is not (well-formed) in ``cache``. Each cached
+    payload is decoded as it is read, so at most one is held at a time.
     """
     seeds = [
         cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
         for cell in cells
     ]
     keys = [cell_cache_key(cell, seed) for cell, seed in zip(cells, seeds)]
-    return seeds, keys, [lookup(cache, "result", key) for key in keys]
+    results = []
+    for key in keys:
+        payload = lookup(cache, "result", key)
+        results.append(None if payload is None else result_from_payload(payload))
+    return seeds, keys, results
 
 
 def store_cell(
-    cache: ResultCache, key: str, cell: GridCell, seed: int, payload: Dict
+    cache: ResultCache, key: str, cell: GridCell, seed: int, text: str
 ) -> None:
     """The per-cell put shared by :func:`run_grid` and remote workers."""
     platform, workload = cell.resolved_platform(), cell.resolved_workload()
     meta = dict(platform=platform.name, workload=workload.name, seed=seed)
-    store(cache, "result", key, payload, **meta)
+    store(cache, "result", key, text, **meta)
 
 
 # Per-process bounded LRU of prepared workload images: the in-memory
@@ -246,9 +251,9 @@ def start_cell(job: Tuple[GridCell, int, Optional[str]]) -> PlatformRun:
     return PlatformRun(cell, seed, prepared_for(cell, image_cache_root))
 
 
-def _execute_cell(job: Tuple[GridCell, int, Optional[str]]) -> Dict:
-    """Worker entry point: simulate one cell, return its payload dict."""
-    return result_to_payload(start_cell(job).run())
+def _execute_cell(job: Tuple[GridCell, int, Optional[str]]) -> str:
+    """Worker entry point: simulate one cell, return its payload text."""
+    return encode("result", start_cell(job).run())
 
 
 @dataclass
@@ -307,8 +312,9 @@ def run_grid(
     """Run every cell, in parallel, skipping cells already in ``cache``.
 
     Returns results in cell order. All results — fresh, parallel, or
-    cached — pass through the same serialized payload form, so they are
-    interchangeable bit for bit.
+    cached — are decoded from the same sorted JSON text, so they are
+    interchangeable bit for bit. A fresh cell's text is stored as-is and
+    decoded once; each text is dropped as soon as it is.
 
     ``executor`` picks the backend that actually runs pending cells: a
     registered name (``"serial"``, ``"process"``, ``"remote"``), a
@@ -346,8 +352,8 @@ def run_grid(
         raise ValueError("chunk must be >= 1 (or None for auto)")
     grid_executor = resolve_executor(executor)
     cells = list(cells)
-    seeds, keys, payloads = _lookup_cells(cells, cache, base_seed)
-    pending = [i for i, payload in enumerate(payloads) if payload is None]
+    seeds, keys, results = _lookup_cells(cells, cache, base_seed)
+    pending = [i for i, result in enumerate(results) if result is None]
 
     icache = _resolve_image_cache(image_cache, cache)
     icache_root = str(icache.root) if icache is not None else None
@@ -366,20 +372,25 @@ def run_grid(
         if jobs_args
         else []
     )
-    if len(fresh) != len(jobs_args):
+    # Consume the texts as the executor makes them: each is stored,
+    # decoded and dropped before the next one is asked for.
+    returned = 0
+    for text in fresh:
+        if returned < len(pending):
+            i = pending[returned]
+            if cache is not None:
+                store_cell(cache, keys[i], cells[i], seeds[i], text)
+            results[i] = decode("result", text)
+        returned += 1
+    if returned != len(jobs_args):
         raise RuntimeError(
-            f"executor {grid_executor.name!r} returned {len(fresh)} payloads "
+            f"executor {grid_executor.name!r} returned {returned} payloads "
             f"for {len(jobs_args)} pending cells"
         )
 
-    for i, payload in zip(pending, fresh):
-        payloads[i] = payload
-        if cache is not None:
-            store_cell(cache, keys[i], cells[i], seeds[i], payload)
-
     pending_set = set(pending)
     return GridOutcome(
-        results=[result_from_payload(p) for p in payloads],
+        results=results,
         keys=keys,
         from_cache=[i not in pending_set for i in range(len(cells))],
         executed=len(pending),
@@ -414,8 +425,7 @@ def load_cached(
     Lets analysis/plotting code reload a finished sweep without being
     able to accidentally trigger hours of simulation.
     """
-    payloads = _lookup_cells(cells, cache, base_seed)[2]
-    return [None if p is None else result_from_payload(p) for p in payloads]
+    return _lookup_cells(cells, cache, base_seed)[2]
 
 
 def outcome_from_cache(
@@ -431,11 +441,11 @@ def outcome_from_cache(
     ``KeyError`` naming the missing cells — never silently simulates.
     """
     cells = list(cells)
-    _seeds, keys, payloads = _lookup_cells(cells, cache, base_seed)
+    _seeds, keys, results = _lookup_cells(cells, cache, base_seed)
     missing = [
         f"{cell.resolved_platform().name}/{cell.resolved_workload().name}"
-        for cell, payload in zip(cells, payloads)
-        if payload is None
+        for cell, result in zip(cells, results)
+        if result is None
     ]
     if missing:
         raise KeyError(
@@ -445,7 +455,7 @@ def outcome_from_cache(
             + " — run the sweep without --from-cache first"
         )
     return GridOutcome(
-        results=[result_from_payload(p) for p in payloads],
+        results=results,
         keys=keys,
         from_cache=[True] * len(cells),
         executed=0,

@@ -8,8 +8,9 @@ bit-identity contract as every other executor:
   register with a version handshake, and *pull* chunks of cells;
 * each chunk travels as one length-prefixed JSON frame (see
   :mod:`repro.orchestrate.wire`); the worker runs it through the same
-  :func:`~repro.orchestrate.batched.execute_batch` path used locally and
-  streams progress heartbeats while simulating;
+  :func:`~repro.orchestrate.batched.execute_batch` path used locally,
+  streams progress heartbeats while simulating, and sends back each
+  cell's sorted payload text;
 * per-cell seeds are fixed before dispatch, so *which* worker runs a
   cell is irrelevant — results are bit-identical to ``serial``;
 * the content-addressed result cache is the shared store: chunk
@@ -182,7 +183,7 @@ class RemoteExecutor(GridExecutor):
         # retry state for the run in progress
         self._chunks: List[Dict] = []
         self._pending: deque = deque()
-        self._results: Dict[int, List[Dict]] = {}
+        self._results: Dict[int, List[str]] = {}
         self._attempts: List[int] = []
         self._last_error: Dict[int, str] = {}
 
@@ -250,7 +251,7 @@ class RemoteExecutor(GridExecutor):
         jobs: int = 1,
         chunk: Optional[int] = None,
         cache=None,
-    ) -> List[Dict]:
+    ) -> List[str]:
         from .batched import auto_chunk_size
         from .grid import cell_cache_key
 
@@ -284,15 +285,14 @@ class RemoteExecutor(GridExecutor):
                 ]
             chunks.append(message)
 
-        per_chunk = self._run_chunks(chunks)
-        payloads: List[Dict] = []
-        for chunk_payloads in per_chunk:
-            payloads.extend(chunk_payloads)
-        return payloads
+        texts: List[str] = []
+        for chunk_texts in self._run_chunks(chunks):
+            texts.extend(chunk_texts)
+        return texts
 
     # -- coordinator event loop ----------------------------------------------
 
-    def _run_chunks(self, chunks: List[Dict]) -> List[List[Dict]]:
+    def _run_chunks(self, chunks: List[Dict]) -> List[List[str]]:
         self._chunks = chunks
         self._pending = deque(range(len(chunks)))
         self._results = {}
@@ -439,17 +439,21 @@ class RemoteExecutor(GridExecutor):
         chunk_id = message.get("chunk_id")
         if chunk_id != conn.chunk_id or chunk_id is None:
             return  # stale result from a chunk that was re-dispatched
-        payloads = message.get("payloads")
+        texts = message.get("texts")
         expected = len(self._chunks[chunk_id]["jobs"])
-        if not isinstance(payloads, list) or len(payloads) != expected:
+        if (
+            not isinstance(texts, list)
+            or len(texts) != expected
+            or not all(isinstance(t, str) for t in texts)
+        ):
             conn.chunk_id = None
             conn.deadline = None
             self._requeue(
                 chunk_id,
-                f"malformed result ({len(payloads or [])}/{expected} payloads)",
+                f"malformed result ({len(texts or [])}/{expected} texts)",
             )
             return
-        self._results[chunk_id] = payloads
+        self._results[chunk_id] = texts
         conn.chunk_id = None
         conn.deadline = None
 

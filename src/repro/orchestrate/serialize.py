@@ -3,15 +3,17 @@
 Four kinds of artifact reach the result cache: a grid cell's
 :class:`RunResult`, a scale-out array, a serving point and a cache
 ablation. :data:`ARTIFACTS` is the one table that says how each is
-wrapped, and :func:`artifact_key` is the one key builder; the named
-codecs (``result_to_payload`` and friends) are thin callers of the
-shared wrap/open pair.
+wrapped, and :func:`artifact_key` is the one key builder.
 
-Payloads cross two boundaries — worker process -> parent, and disk cache
--> later run — so they are normalized through an actual JSON round trip:
-what a warm-cache load sees is bit-identical to what a fresh simulation
-returned, and any accidentally non-serializable instrument fails loudly
-at produce time, not at cache-read time.
+A freshly computed artifact is JSON-encoded exactly once, by
+:func:`encode`, into the sorted text of its envelope. That text is the
+only thing that crosses the worker process -> parent boundary, it is
+spliced as-is into the cache document, and the parent decodes it once
+(:func:`decode`). What a warm-cache load sees is therefore bit-identical
+to what a fresh simulation returned, and any accidentally
+non-serializable instrument fails loudly at produce time, not at
+cache-read time. The named dict codecs (``result_to_payload`` and
+friends) are thin callers of the same pair for the exporters and tests.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from ..platforms.result import RunResult
 
 __all__ = [
     "ARTIFACTS",
-    "CODECS",
     "artifact_key",
+    "encode",
+    "decode",
+    "open_payload",
     "non_default",
     "result_to_payload",
     "result_from_payload",
@@ -55,11 +59,17 @@ def kind_tag(kind: str) -> Dict:
     return {} if kind == "result" else {"kind": kind}
 
 
-def _wrap(kind: str, value) -> Dict:
-    """Envelope with schema (and kind) tag; values are plain JSON types."""
+def encode(kind: str, value) -> str:
+    """The sorted JSON text of ``value``'s ``kind`` envelope.
+
+    The one encode of a fresh artifact. Sorted keys make the text
+    canonical (``json.dumps(json.loads(text), sort_keys=True)`` gives it
+    back unchanged) as long as every ``to_dict`` uses string keys, so it
+    can be spliced into a cache document without a second pass.
+    """
     schema, field, _cls = ARTIFACTS[kind]
     doc = {"schema": schema, **kind_tag(kind), field: value.to_dict()}
-    return json.loads(json.dumps(doc, default=json_default))
+    return json.dumps(doc, sort_keys=True, default=json_default)
 
 
 def envelope_body(kind: str, payload) -> Dict:
@@ -79,10 +89,16 @@ def envelope_body(kind: str, payload) -> Dict:
     return body
 
 
-def _open(kind: str, payload: Dict):
+def open_payload(kind: str, payload: Dict):
+    """The ``kind`` artifact of a decoded envelope; ValueError if malformed."""
     module, name = ARTIFACTS[kind][2].split(":")
     cls = getattr(importlib.import_module(module), name)
     return cls.from_dict(envelope_body(kind, payload))
+
+
+def decode(kind: str, text: str):
+    """Inverse of :func:`encode`: the artifact of one envelope text."""
+    return open_payload(kind, json.loads(text))
 
 
 def non_default(**fields) -> Dict:
@@ -107,41 +123,32 @@ def artifact_key(kind: str, identity: Dict) -> str:
 
 
 def result_to_payload(result: RunResult) -> Dict:
-    return _wrap("result", result)
+    return json.loads(encode("result", result))
 
 
 def result_from_payload(payload: Dict) -> RunResult:
-    return _open("result", payload)
+    return open_payload("result", payload)
 
 
 def scaleout_to_payload(result) -> Dict:
-    return _wrap("scaleout", result)
+    return json.loads(encode("scaleout", result))
 
 
 def scaleout_from_payload(payload: Dict):
-    return _open("scaleout", payload)
+    return open_payload("scaleout", payload)
 
 
 def serving_to_payload(result) -> Dict:
-    return _wrap("serving", result)
+    return json.loads(encode("serving", result))
 
 
 def serving_from_payload(payload: Dict):
-    return _open("serving", payload)
+    return open_payload("serving", payload)
 
 
 def cache_sweep_to_payload(sweep) -> Dict:
-    return _wrap("cache_ablation", sweep)
+    return json.loads(encode("cache_ablation", sweep))
 
 
 def cache_sweep_from_payload(payload: Dict):
-    return _open("cache_ablation", payload)
-
-
-# kind -> its named codec pair, the one the cached-artifact path calls
-CODECS = {
-    "result": (result_to_payload, result_from_payload),
-    "scaleout": (scaleout_to_payload, scaleout_from_payload),
-    "serving": (serving_to_payload, serving_from_payload),
-    "cache_ablation": (cache_sweep_to_payload, cache_sweep_from_payload),
-}
+    return open_payload("cache_ablation", payload)

@@ -40,9 +40,11 @@ __all__ = [
     "WIRE_SCHEMA_VERSION",
 ]
 
-WIRE_SCHEMA_VERSION = 1
+# 2: chunk results carry each cell's sorted payload text ("texts"), not
+# payload objects ("payloads"); a version-1 peer is refused at the hello.
+WIRE_SCHEMA_VERSION = 2
 
-# A chunk of cells is a few KB; a chunk of result payloads tops out in
+# A chunk of cells is a few KB; a chunk of result texts tops out in
 # the low MBs. Anything beyond this is a corrupt or hostile frame.
 MAX_FRAME_BYTES = 512 * 1024 * 1024
 

@@ -12,8 +12,9 @@ coordinator can tell a slow chunk from a dead worker.
 When a chunk message names the shared result cache, the worker checks
 each cell's content-addressed key first and simulates only the misses —
 that is what makes a re-dispatched chunk on a warm pool cost zero
-simulations — and writes fresh payloads back so sibling workers (and
-the coordinator) see them.
+simulations — and writes fresh payload texts back, through the same
+:func:`~repro.orchestrate.grid.store_cell` text path as the coordinator,
+so sibling workers (and the coordinator) see them.
 
 Test/chaos hooks (set in the worker's environment, never the
 coordinator's): ``REPRO_WORKER_FAIL_AFTER=N`` hard-exits the process on
@@ -24,6 +25,7 @@ modes the coordinator's requeue machinery must survive.
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import time
@@ -160,7 +162,7 @@ def _serve_connection(
         if hang_s > 0:
             time.sleep(hang_s)
         try:
-            payloads, executed, cached = _execute_chunk_message(
+            texts, executed, cached = _execute_chunk_message(
                 sock, message, image_cache_root
             )
         except (ConnectionError, OSError):
@@ -180,7 +182,7 @@ def _serve_connection(
             {
                 "type": "result",
                 "chunk_id": message.get("chunk_id"),
-                "payloads": payloads,
+                "texts": texts,
                 "executed": executed,
                 "cached": cached,
             },
@@ -192,7 +194,11 @@ def _execute_chunk_message(
     message: Dict,
     image_cache_root: Optional[str],
 ) -> tuple:
-    """Simulate one chunk message; returns (payloads, executed, cached)."""
+    """Simulate one chunk message; returns (texts, executed, cached).
+
+    A cached cell's text is its stored payload re-encoded with sorted
+    keys, which is the text that was stored.
+    """
     from .batched import execute_batch
     from .cache import ResultCache, lookup
     from .grid import store_cell
@@ -201,7 +207,7 @@ def _execute_chunk_message(
     if image_cache_root is not None:
         jobs = [(cell, seed, image_cache_root) for cell, seed, _root in jobs]
 
-    payloads: List[Optional[Dict]] = [None] * len(jobs)
+    texts: List[Optional[str]] = [None] * len(jobs)
     cache = None
     keys = message.get("keys")
     cache_root = message.get("cache_root")
@@ -209,8 +215,11 @@ def _execute_chunk_message(
         # Shared-store fast path: cells another worker already simulated
         # (this sweep or any earlier one) are a read, not a simulation.
         cache = ResultCache(cache_root)
-        payloads = [lookup(cache, "result", key) for key in keys]
-    to_run = [i for i, payload in enumerate(payloads) if payload is None]
+        for i, key in enumerate(keys):
+            payload = lookup(cache, "result", key)
+            if payload is not None:
+                texts[i] = json.dumps(payload, sort_keys=True)
+    to_run = [i for i, text in enumerate(texts) if text is None]
 
     chunk_id = message.get("chunk_id")
     last_beat = [time.monotonic()]
@@ -228,9 +237,9 @@ def _execute_chunk_message(
             )
 
     fresh = execute_batch([jobs[i] for i in to_run], heartbeat=beat)
-    for i, payload in zip(to_run, fresh):
-        payloads[i] = payload
+    for i, text in zip(to_run, fresh):
+        texts[i] = text
         if cache is not None:
             cell, seed, _root = jobs[i]
-            store_cell(cache, keys[i], cell, seed, payload)
-    return payloads, len(to_run), len(jobs) - len(to_run)
+            store_cell(cache, keys[i], cell, seed, text)
+    return texts, len(to_run), len(jobs) - len(to_run)

@@ -73,15 +73,16 @@ def run_dispatch_suite(
 
     serial = SerialExecutor()
     percell = ProcessExecutor()
-    reference = serial.run(jobs_args, jobs=1)
+    # list(): the serial backend simulates only as its texts are consumed
+    reference = list(serial.run(jobs_args, jobs=1))
 
-    serial_s = best_of(lambda: serial.run(jobs_args, jobs=1))
-    assert serial.run(jobs_args, jobs=1) == reference
+    serial_s = best_of(lambda: list(serial.run(jobs_args, jobs=1)))
+    assert list(serial.run(jobs_args, jobs=1)) == reference
 
     percell_s = best_of(
-        lambda: percell.run(jobs_args, jobs=jobs, chunk=1)
+        lambda: list(percell.run(jobs_args, jobs=jobs, chunk=1))
     )
-    assert percell.run(jobs_args, jobs=jobs, chunk=1) == reference
+    assert list(percell.run(jobs_args, jobs=jobs, chunk=1)) == reference
 
     remote = RemoteExecutor(
         port=0, min_workers=workers, spawn_workers=workers

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +47,13 @@ class BatchTiming:
         return self.compute_end - self.compute_start
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return {
+            "batch_index": self.batch_index,
+            "prep_start": self.prep_start,
+            "prep_end": self.prep_end,
+            "compute_start": self.compute_start,
+            "compute_end": self.compute_end,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "BatchTiming":

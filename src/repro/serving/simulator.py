@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from ..cache.page import CacheConfig
@@ -141,7 +141,25 @@ class ServingResult:
         return latency_summary(self.latencies_s)
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return {
+            "platform": self.platform,
+            "workload": self.workload,
+            "arrival": dict(self.arrival),
+            "offered_qps": self.offered_qps,
+            "num_queries": self.num_queries,
+            "query_batch_size": self.query_batch_size,
+            "max_batch": self.max_batch,
+            "batch_timeout_s": self.batch_timeout_s,
+            "queue_depth": self.queue_depth,
+            "max_live": self.max_live,
+            "seed": self.seed,
+            "latencies_s": list(self.latencies_s),
+            "queue_waits_s": list(self.queue_waits_s),
+            "shed": self.shed,
+            "batch_sizes": list(self.batch_sizes),
+            "makespan_s": self.makespan_s,
+            "last_arrival_s": self.last_arrival_s,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ServingResult":

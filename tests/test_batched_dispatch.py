@@ -80,8 +80,9 @@ class TestExecuteBatch:
     def test_payloads_match_per_cell_execution(self, variant):
         cells = [replace(cell, **VARIANTS[variant]) for cell in tiny_cells(4)]
         jobs_args = [(cell, cell.seed, None) for cell in cells]
-        per_cell = [_digest(_execute_cell(job)) for job in jobs_args]
-        batched = [_digest(p) for p in execute_batch(jobs_args)]
+        per_cell = [_execute_cell(job) for job in jobs_args]
+        batched = execute_batch(jobs_args)
+        # both return the one sorted payload text: equal byte for byte
         assert batched == per_cell
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -98,18 +99,14 @@ class TestExecuteBatch:
     def test_max_live_does_not_change_results(self, max_live):
         cells = tiny_cells(4)
         jobs_args = [(cell, cell.seed, None) for cell in cells]
-        expected = [_digest(_execute_cell(job)) for job in jobs_args]
-        got = [_digest(p) for p in execute_batch(jobs_args, max_live=max_live)]
-        assert got == expected
+        expected = [_execute_cell(job) for job in jobs_args]
+        assert execute_batch(jobs_args, max_live=max_live) == expected
 
     def test_small_slices_do_not_change_results(self):
         cells = tiny_cells(3)
         jobs_args = [(cell, cell.seed, None) for cell in cells]
-        expected = [_digest(_execute_cell(job)) for job in jobs_args]
-        got = [
-            _digest(p)
-            for p in execute_batch(jobs_args, max_live=2, slice_events=97)
-        ]
+        expected = [_execute_cell(job) for job in jobs_args]
+        got = execute_batch(jobs_args, max_live=2, slice_events=97)
         assert got == expected
 
     def test_reproduces_golden_fixture(self):
@@ -129,7 +126,10 @@ class TestExecuteBatch:
             for name in sorted(golden)
         ]
         jobs_args = [(cell, 0, None) for cell in cells]
-        digests = [_digest(p) for p in execute_batch(jobs_args, max_live=3)]
+        digests = [
+            _digest(json.loads(text))
+            for text in execute_batch(jobs_args, max_live=3)
+        ]
         assert digests == [golden[name] for name in sorted(golden)]
 
     def test_heartbeat_reports_progress(self):

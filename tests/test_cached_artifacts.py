@@ -78,11 +78,11 @@ def _worker_chunk(cache, require_cached):
     }
     a, b = socket.socketpair()
     try:
-        payloads, executed, _cached = _execute_chunk_message(a, message, None)
+        texts, executed, _cached = _execute_chunk_message(a, message, None)
     finally:
         a.close()
         b.close()
-    return payloads, executed, message["keys"]
+    return [json.loads(t) for t in texts], executed, message["keys"]
 
 
 def _scaleout(cache, require_cached):

@@ -116,7 +116,7 @@ class TestResultCache:
     def test_put_get_contains_stats_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("abc") is None
-        cache.put("abc", {"payload": {"x": 1}})
+        cache.put("abc", json.dumps({"payload": {"x": 1}}))
         assert "abc" in cache
         assert cache.get("abc") == {"payload": {"x": 1}}
         stats = cache.stats()
@@ -126,7 +126,7 @@ class TestResultCache:
 
     def test_corrupted_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("abc", {"payload": {}})
+        cache.put("abc", json.dumps({"payload": {}}))
         cache.path_for("abc").write_text("{truncated")
         assert cache.get("abc") is None
 
@@ -134,8 +134,8 @@ class TestResultCache:
         import os
 
         cache = ResultCache(tmp_path)
-        cache.put("old", {"payload": {}})
-        cache.put("new", {"payload": {}})
+        cache.put("old", json.dumps({"payload": {}}))
+        cache.put("new", json.dumps({"payload": {}}))
         now = 1_000_000.0
         os.utime(cache.path_for("old"), times=(now - 10 * 86400, now - 10 * 86400))
         os.utime(cache.path_for("new"), times=(now - 86400, now - 86400))
@@ -148,7 +148,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         blob = {"payload": {"pad": "x" * 4000}}  # ~4 KB per entry
         for i in range(5):
-            cache.put(f"k{i}", blob)
+            cache.put(f"k{i}", json.dumps(blob))
             path = cache.path_for(f"k{i}")
             os.utime(path, times=(1000.0 + i, 1000.0 + i))
         removed = cache.prune(max_mb=0.01, _now=2000.0)  # 10 KB budget
@@ -158,8 +158,8 @@ class TestResultCache:
 
     def test_prune_size_zero_clears_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("a", {"payload": {}})
-        cache.put("b", {"payload": {}})
+        cache.put("a", json.dumps({"payload": {}}))
+        cache.put("b", json.dumps({"payload": {}}))
         assert cache.prune(max_mb=0) == 2
         assert cache.stats().entries == 0
 
@@ -174,7 +174,7 @@ class TestResultCache:
 
     def test_prune_noop_under_budget(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("a", {"payload": {}})
+        cache.put("a", json.dumps({"payload": {}}))
         assert cache.prune(keep_days=365, max_mb=100) == 0
         assert "a" in cache
 

@@ -232,7 +232,8 @@ class TestFailurePaths:
         finally:
             ex.close()
 
-    def test_version_mismatch_rejected(self):
+    @staticmethod
+    def _assert_hello_rejected(version, wire_schema):
         ex = RemoteExecutor(port=0)
         client = None
         try:
@@ -242,11 +243,7 @@ class TestFailurePaths:
             ex._pump(0.2)  # accept
             send_msg(
                 client,
-                {
-                    "type": "hello",
-                    "version": "0.0.0-other",
-                    "wire_schema": WIRE_SCHEMA_VERSION,
-                },
+                {"type": "hello", "version": version, "wire_schema": wire_schema},
             )
             reply = None
             for _ in range(40):
@@ -263,6 +260,16 @@ class TestFailurePaths:
             if client is not None:
                 client.close()
             ex.close()
+
+    def test_version_mismatch_rejected(self):
+        self._assert_hello_rejected("0.0.0-other", WIRE_SCHEMA_VERSION)
+
+    def test_wire_schema_1_worker_rejected(self):
+        """A worker that still sends payload objects, not texts, is refused."""
+        from repro import __version__
+
+        assert WIRE_SCHEMA_VERSION == 2
+        self._assert_hello_rejected(__version__, 1)
 
     def test_defaults_come_from_env(self, monkeypatch):
         from repro.orchestrate import envcfg

@@ -717,7 +717,7 @@ class TestStallGuard:
             seed=0,
             scaled_nodes=256,
         )
-        payloads = execute_batch(
+        texts = execute_batch(
             [(cell, 0, None)], slice_events=64, max_idle_sweeps=2
         )
-        assert len(payloads) == 1 and payloads[0]["result"]
+        assert len(texts) == 1 and json.loads(texts[0])["result"]
